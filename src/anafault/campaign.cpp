@@ -365,36 +365,9 @@ CampaignResult run_generic(const Circuit& ckt, std::vector<JobMeta> metas,
              obs::arg("threads",
                       static_cast<std::int64_t>(res.batch.threads))});
 
-    // Nominal simulation first (paper, ch. V); the baseline Waveforms are
-    // shared read-only by every worker.  Its kernel's elimination order is
-    // the campaign-shared symbolic analysis: every faulty variant adopts
-    // it (patched with its injected unknowns) instead of re-running the
-    // one-time ordering -- null when the nominal kernel is dense, in which
-    // case every variant simply analyzes itself as before.
-    CampaignOptions wopt = opt;
-    {
-        obs::Span nsp(obs::Phase::Nominal);
-        const auto t0 = std::chrono::steady_clock::now();
-        Simulator sim(ckt, opt.sim);
-        nsp.arg("unknowns", static_cast<std::int64_t>(sim.unknowns()));
-        res.nominal = sim.tran(ts);
-        res.nominal_seconds = seconds_since(t0);
-        res.batch.steps_integrated = sim.stats().tran_steps;
-        res.batch.steps_interpolated = sim.stats().grid_points_interpolated;
-        res.batch.bypass_solves = sim.stats().bypass_solves;
-        res.batch.sparse_refactors = sim.stats().sparse_refactors;
-        res.batch.device_stamp_skips = sim.stats().device_stamp_skips;
-        res.batch.ordering_seconds = sim.stats().ordering_seconds;
-        res.batch.numeric_seconds = sim.stats().numeric_seconds;
-        if (opt.share_symbolic)
-            wopt.sim.symbolic_cache = sim.symbolic_cache();
-    }
-
-    res.results.resize(n);
-    std::vector<char> done(n, 0);
-
     // Result store: load whatever a previous run of this exact campaign
-    // already finished.
+    // (or the incremental engine's seeding) already wrote -- the nominal
+    // reference and finished verdicts.
     std::unique_ptr<batch::ResultStore> store;
     if (!opt.result_store.empty()) {
         const std::uint64_t manifest =
@@ -407,6 +380,89 @@ CampaignResult run_generic(const Circuit& ckt, std::vector<JobMeta> metas,
         store = std::make_unique<batch::ResultStore>(opt.result_store,
                                                      manifest,
                                                      opt.store_durability);
+    }
+
+    std::atomic<std::size_t> store_errors{0};
+    // Contained store write: an I/O failure (disk full, injected torn
+    // write) must not fail the campaign -- the record is already computed
+    // and stays in memory; it is merely not persisted, so a later resume
+    // recomputes it.  The failure is counted and published.
+    auto contained_write = [&](int fault_id, auto&& write) {
+        try {
+            write();
+        } catch (const std::exception& e) {
+            store_errors.fetch_add(1, std::memory_order_relaxed);
+            if (obs::metrics_enabled())
+                obs::Registry::global()
+                    .counter("store.append_errors")
+                    .add(1);
+            if (obs::events_enabled())
+                obs::emit_event(
+                    "store_error",
+                    {obs::arg("fault_id", static_cast<std::int64_t>(fault_id)),
+                     obs::arg("error", std::string(e.what()))});
+        }
+    };
+
+    // Nominal reference first (paper, ch. V); the baseline Waveforms are
+    // shared read-only by every worker.  Its kernel's elimination order is
+    // the campaign-shared symbolic analysis: every faulty variant adopts
+    // it (patched with its injected unknowns) instead of re-running the
+    // one-time ordering -- null when the nominal kernel is dense, in which
+    // case every variant simply analyzes itself as before.  A store bound
+    // to this manifest that already holds the nominal record proves the
+    // circuit, grid and knobs unchanged, so the record replaces the
+    // simulation bit for bit.
+    CampaignOptions wopt = opt;
+    std::optional<batch::NominalRecord> stored;
+    if (store) stored = store->take_nominal();
+    if (stored) {
+        res.nominal = std::move(stored->waveforms);
+        if (opt.share_symbolic && stored->symbolic)
+            wopt.sim.symbolic_cache =
+                std::make_shared<const spice::SymbolicCache>(
+                    std::move(*stored->symbolic));
+        res.batch.nominal_reused = true;
+        if (obs::metrics_enabled())
+            obs::Registry::global().counter("campaign.nominal_reused").add(1);
+        if (obs::events_enabled())
+            obs::emit_event(
+                "nominal_reused",
+                {obs::arg("source", std::string(stored->carried
+                                                    ? "baseline"
+                                                    : "resume"))});
+    } else {
+        batch::NominalRecord rec;
+        std::shared_ptr<const spice::SymbolicCache> symbolic;
+        {
+            obs::Span nsp(obs::Phase::Nominal);
+            const auto t0 = std::chrono::steady_clock::now();
+            Simulator sim(ckt, opt.sim);
+            nsp.arg("unknowns", static_cast<std::int64_t>(sim.unknowns()));
+            rec.waveforms = sim.tran(ts);
+            res.nominal_seconds = seconds_since(t0);
+            res.batch.steps_integrated = sim.stats().tran_steps;
+            res.batch.steps_interpolated =
+                sim.stats().grid_points_interpolated;
+            res.batch.bypass_solves = sim.stats().bypass_solves;
+            res.batch.sparse_refactors = sim.stats().sparse_refactors;
+            res.batch.device_stamp_skips = sim.stats().device_stamp_skips;
+            res.batch.ordering_seconds = sim.stats().ordering_seconds;
+            res.batch.numeric_seconds = sim.stats().numeric_seconds;
+            symbolic = sim.symbolic_cache();
+        }
+        if (opt.share_symbolic) wopt.sim.symbolic_cache = symbolic;
+        if (store) {
+            if (symbolic) rec.symbolic = *symbolic;
+            contained_write(0, [&] { store->append_nominal(rec); });
+        }
+        res.nominal = std::move(rec.waveforms);
+    }
+
+    res.results.resize(n);
+    std::vector<char> done(n, 0);
+
+    if (store) {
         std::map<int, std::size_t> by_id;
         for (std::size_t i = 0; i < n; ++i) by_id[metas[i].fault_id] = i;
         for (const FaultSimResult& r : store->loaded()) {
@@ -477,28 +533,8 @@ CampaignResult run_generic(const Circuit& ckt, std::vector<JobMeta> metas,
 
     std::atomic<std::size_t> kernel_runs{0};
     std::atomic<std::size_t> retries{0};
-    std::atomic<std::size_t> store_errors{0};
-    // Contained store append: an I/O failure (disk full, injected torn
-    // write) must not fail the fault -- its verdict is already computed
-    // and stays in memory; it is merely not persisted, so a later resume
-    // re-simulates it.  The failure is counted and published.
     auto safe_append = [&](const FaultSimResult& r) {
-        if (!store) return;
-        try {
-            store->append(r);
-        } catch (const std::exception& e) {
-            store_errors.fetch_add(1, std::memory_order_relaxed);
-            if (obs::metrics_enabled())
-                obs::Registry::global()
-                    .counter("store.append_errors")
-                    .add(1);
-            if (obs::events_enabled())
-                obs::emit_event(
-                    "store_error",
-                    {obs::arg("fault_id",
-                              static_cast<std::int64_t>(r.fault_id)),
-                     obs::arg("error", std::string(e.what()))});
-        }
+        if (store) contained_write(r.fault_id, [&] { store->append(r); });
     };
     auto run_class = [&](std::size_t c) {
         const std::vector<std::size_t>& members = classes[c].members;

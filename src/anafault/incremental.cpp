@@ -49,6 +49,9 @@ batch::FaultSimResult carry(const batch::FaultSimResult& baseline_record,
 /// split the revision into carried records and the subset to simulate.
 struct CarrySplit {
     std::map<int, batch::FaultSimResult> carried_by_id;
+    /// The validated baseline store's nominal record (transient stores
+    /// only): same circuit, grid and knobs, so the revision reuses it.
+    std::optional<batch::NominalRecord> nominal;
     lift::FaultList subset;
     IncrementalStats inc;
 };
@@ -75,7 +78,7 @@ CarrySplit split_for_carry(const lift::FaultList& baseline,
     // The baseline store is only trusted when its manifest proves it was
     // written by this circuit + baseline fault list + knob set.
     std::map<std::string, const batch::FaultSimResult*> by_sig;
-    const std::optional<batch::StoreSnapshot> snap =
+    std::optional<batch::StoreSnapshot> snap =
         batch::load_store(baseline_store);
     if (!snap) {
         out.inc.carry_block_reason = baseline_store.empty()
@@ -89,6 +92,8 @@ CarrySplit split_for_carry(const lift::FaultList& baseline,
     } else {
         out.inc.baseline_manifest_matched = true;
         by_sig = baseline_by_signature(baseline, *snap);
+        out.nominal = std::move(snap->nominal);
+        if (out.nominal) out.nominal->carried = true;
     }
 
     // Split the revision: carried verdicts vs the subset to simulate.
@@ -138,19 +143,23 @@ CarrySplit split_for_carry(const lift::FaultList& baseline,
     return out;
 }
 
-/// Seed the merged store with the carried records, bound to the revision
-/// manifest, so a crash mid-subset never costs them and the merged store
-/// resumes -- and serves as the next revision's baseline -- as if a cold
-/// full campaign had written it.
+/// Seed the merged store with the baseline's nominal record (first) and
+/// the carried records, bound to the revision manifest, so a crash
+/// mid-subset never costs them, the subset campaign picks the nominal up
+/// through its ordinary resume path, and the merged store resumes -- and
+/// serves as the next revision's baseline -- as if a cold full campaign
+/// had written it.
 void seed_merged_store(const std::string& path, std::uint64_t manifest,
-                       bool resume,
-                       const std::map<int, batch::FaultSimResult>& carried,
+                       bool resume, const CarrySplit& split,
                        batch::Durability durability) {
     if (!resume) {
         std::error_code ec;
         std::filesystem::remove(path, ec);
     }
     batch::ResultStore store(path, manifest, durability);
+    if (split.nominal && !store.has_nominal())
+        store.append_nominal(*split.nominal);
+    const std::map<int, batch::FaultSimResult>& carried = split.carried_by_id;
     std::set<int> present;
     for (const batch::FaultSimResult& r : store.loaded())
         present.insert(r.fault_id);
@@ -178,7 +187,7 @@ IncrementalResult run_incremental_campaign(const Circuit& ckt,
         const std::uint64_t manifest =
             campaign_manifest(ckt, revision, opt.campaign);
         seed_merged_store(copt.result_store, manifest, opt.campaign.resume,
-                          split.carried_by_id, copt.store_durability);
+                          split, copt.store_durability);
         // The subset campaign reopens the merged store under the revision
         // manifest: its own finished records resume, carried ids (not in
         // the subset) pass through untouched.
@@ -188,8 +197,9 @@ IncrementalResult run_incremental_campaign(const Circuit& ckt,
 
     CampaignResult sub = run_campaign(ckt, split.subset, copt);
 
-    // Merge in revision order.  Nominal run, kernel-cost aggregates and
-    // batch counters describe the work this run actually performed.
+    // Merge in revision order.  Kernel-cost aggregates and batch counters
+    // describe the work this run actually performed; the nominal is the
+    // baseline's record whenever the baseline store was trusted.
     std::map<int, const FaultSimResult*> sub_by_id;
     for (const FaultSimResult& r : sub.results)
         sub_by_id.emplace(r.fault_id, &r);
@@ -233,7 +243,7 @@ IncrementalAcResult run_incremental_ac_campaign(
         const std::uint64_t manifest =
             ac_campaign_manifest(ckt, revision, opt.campaign);
         seed_merged_store(copt.result_store, manifest, opt.campaign.resume,
-                          split.carried_by_id, copt.store_durability);
+                          split, copt.store_durability);
         copt.resume = true;
         copt.manifest_override = manifest;
     }
@@ -281,7 +291,7 @@ IncrementalDcResult run_incremental_dc_screen(const Circuit& ckt,
         const std::uint64_t manifest =
             dc_screen_manifest(ckt, revision, opt.campaign);
         seed_merged_store(copt.result_store, manifest, opt.campaign.resume,
-                          split.carried_by_id, copt.store_durability);
+                          split, copt.store_durability);
         copt.resume = true;
         copt.manifest_override = manifest;
     }

@@ -54,9 +54,15 @@ std::string campaign_summary(const CampaignResult& res) {
                       *last * 1e6, 100.0 * *last / res.tstop);
         os << buf;
     }
-    std::snprintf(buf, sizeof buf,
-                  "kernel time: nominal %.3fs, faults %.3fs total\n",
-                  res.nominal_seconds, res.total_seconds);
+    if (res.batch.nominal_reused)
+        std::snprintf(buf, sizeof buf,
+                      "kernel time: nominal: reused from store, faults "
+                      "%.3fs total\n",
+                      res.total_seconds);
+    else
+        std::snprintf(buf, sizeof buf,
+                      "kernel time: nominal %.3fs, faults %.3fs total\n",
+                      res.nominal_seconds, res.total_seconds);
     os << buf;
     std::snprintf(buf, sizeof buf,
                   "batch: %u thread%s, %zu classes (%zu collapsed), "

@@ -68,6 +68,12 @@ CampaignResult load_campaign_result(const netlist::Circuit& ckt,
         by_id.emplace(r.fault_id, &r);
 
     CampaignResult res;
+    // The workers' nominal reference, from the merged store's one nominal
+    // record: the parent aggregates, it never simulates.
+    if (snap->nominal) {
+        res.nominal = std::move(snap->nominal->waveforms);
+        res.batch.nominal_reused = true;
+    }
     if (opt.tran)
         res.tstop = opt.tran->tstop;
     else if (ckt.tran)

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <string_view>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -41,9 +42,16 @@ constexpr std::uint32_t kMagic = 0x42544143u;  // "CATB"
 // v6: attempts + quarantined + retry_log (the failure-containment
 // layer's retry/degradation ladder provenance; `quarantined` is a
 // verdict and must survive store round-trips and incremental carry).
+// v7: every payload opens with a record-kind byte, and a new kind -- the
+// nominal record (reference waveforms + shared elimination order) -- lets
+// resumed and incremental campaigns skip the nominal simulation.
 // Any older-version store is treated as foreign and restarted, like any
 // other manifest mismatch.
-constexpr std::uint32_t kVersion = 6;
+constexpr std::uint32_t kVersion = 7;
+
+// Record kinds (the first payload byte).
+constexpr std::uint8_t kFaultRecord = 0;
+constexpr std::uint8_t kNominalRecord = 1;
 
 template <typename T>
 void put(std::string& buf, const T& v) {
@@ -57,10 +65,15 @@ void put_str(std::string& buf, const std::string& s) {
     buf.append(s);
 }
 
+void put_doubles(std::string& buf, const std::vector<double>& v) {
+    buf.append(reinterpret_cast<const char*>(v.data()),
+               v.size() * sizeof(double));
+}
+
 /// Cursor over a loaded byte buffer; every get reports success so the
 /// loader can stop cleanly at a truncated tail.
 struct Reader {
-    const std::string& buf;
+    std::string_view buf;
     std::size_t pos = 0;
 
     template <typename T>
@@ -79,10 +92,20 @@ struct Reader {
         pos += n;
         return true;
     }
+    /// Read `n` raw doubles; refuses (without allocating) a count the
+    /// remaining bytes cannot hold.
+    bool get_doubles(std::vector<double>& v, std::uint64_t n) {
+        if ((buf.size() - pos) / sizeof(double) < n) return false;
+        v.resize(static_cast<std::size_t>(n));
+        std::memcpy(v.data(), buf.data() + pos, v.size() * sizeof(double));
+        pos += v.size() * sizeof(double);
+        return true;
+    }
 };
 
 std::string encode(const FaultSimResult& r) {
     std::string p;
+    put(p, kFaultRecord);
     put(p, static_cast<std::int32_t>(r.fault_id));
     put(p, static_cast<std::uint8_t>(r.simulated ? 1 : 0));
     put(p, static_cast<std::uint8_t>(r.detect_time ? 1 : 0));
@@ -110,15 +133,17 @@ std::string encode(const FaultSimResult& r) {
     return p;
 }
 
-bool decode(const std::string& payload, FaultSimResult& r) {
+bool decode(std::string_view payload, FaultSimResult& r) {
     Reader rd{payload};
+    std::uint8_t kind = 0;
     std::int32_t id = 0;
     std::uint8_t simulated = 0, has_detect = 0, carried = 0;
     double detect = 0.0;
     std::uint64_t nr = 0, msize = 0, saved = 0, integrated = 0, interp = 0;
     std::uint64_t bypass = 0, refactors = 0, dskips = 0, cache_hits = 0;
     std::uint8_t quarantined = 0;
-    if (!rd.get(id) || !rd.get(simulated) || !rd.get(has_detect) ||
+    if (!rd.get(kind) || kind != kFaultRecord || !rd.get(id) ||
+        !rd.get(simulated) || !rd.get(has_detect) ||
         !rd.get(detect) || !rd.get(r.probability) || !rd.get(r.sim_seconds) ||
         !rd.get(nr) || !rd.get(msize) || !rd.get(saved) ||
         !rd.get(integrated) || !rd.get(interp) || !rd.get(bypass) ||
@@ -146,6 +171,73 @@ bool decode(const std::string& payload, FaultSimResult& r) {
     return rd.pos == payload.size();
 }
 
+std::string encode_nominal(const NominalRecord& n) {
+    const spice::Waveforms& wf = n.waveforms;
+    const std::vector<std::string> names = wf.trace_names();
+    std::string p;
+    p.reserve(64 + (names.size() + 1) * wf.points() * sizeof(double));
+    put(p, kNominalRecord);
+    put(p, static_cast<std::uint8_t>(n.carried ? 1 : 0));
+    put(p, static_cast<std::uint32_t>(names.size()));
+    put(p, static_cast<std::uint64_t>(wf.points()));
+    put_doubles(p, wf.time());
+    for (const std::string& name : names) {
+        put_str(p, name);
+        put_doubles(p, wf.trace(name));
+    }
+    put(p, static_cast<std::uint8_t>(n.symbolic ? 1 : 0));
+    if (n.symbolic) {
+        put(p, static_cast<std::uint32_t>(n.symbolic->rank.size()));
+        for (const auto& [name, rank] : n.symbolic->rank) {
+            put_str(p, name);
+            put(p, static_cast<std::int32_t>(rank));
+        }
+    }
+    return p;
+}
+
+bool decode_nominal(std::string_view payload, NominalRecord& n) {
+    Reader rd{payload};
+    std::uint8_t kind = 0, carried = 0, has_symbolic = 0;
+    std::uint32_t traces = 0;
+    std::uint64_t points = 0;
+    std::vector<double> time;
+    if (!rd.get(kind) || kind != kNominalRecord || !rd.get(carried) ||
+        !rd.get(traces) || !rd.get(points) || !rd.get_doubles(time, points))
+        return false;
+    // Every trace needs at least its name length: refuse a count the
+    // payload cannot hold before sizing anything by it.
+    if (traces > (payload.size() - rd.pos) / sizeof(std::uint32_t))
+        return false;
+    std::vector<std::string> names(traces);
+    std::vector<std::vector<double>> data(traces);
+    for (std::uint32_t i = 0; i < traces; ++i)
+        if (!rd.get_str(names[i]) || !rd.get_doubles(data[i], points))
+            return false;
+    if (!rd.get(has_symbolic)) return false;
+    if (has_symbolic) {
+        std::uint32_t entries = 0;
+        if (!rd.get(entries)) return false;
+        spice::SymbolicCache cache;
+        for (std::uint32_t i = 0; i < entries; ++i) {
+            std::string name;
+            std::int32_t rank = 0;
+            if (!rd.get_str(name) || !rd.get(rank)) return false;
+            cache.rank.emplace(std::move(name), rank);
+        }
+        n.symbolic = std::move(cache);
+    }
+    if (rd.pos != payload.size()) return false;
+    try {
+        n.waveforms = spice::Waveforms::from_columns(
+            std::move(names), std::move(time), std::move(data));
+    } catch (const Error&) {
+        return false;  // duplicate trace name or non-monotonic axis
+    }
+    n.carried = carried != 0;
+    return true;
+}
+
 /// Scan a store image: header + every intact record.  Returns the byte
 /// offset just past the last good record (0 when the header is absent,
 /// foreign or of another version) -- the single decoding path shared by
@@ -159,6 +251,7 @@ struct ScanResult {
     std::uint64_t manifest = 0;
     std::size_t good_end = 0;
     std::vector<FaultSimResult> records;
+    std::optional<NominalRecord> nominal;
 };
 
 ScanResult scan_store(const std::string& bytes,
@@ -179,27 +272,43 @@ ScanResult scan_store(const std::string& bytes,
     for (;;) {
         std::uint32_t len = 0;
         if (!rd.get(len)) break;
-        if (bytes.size() - rd.pos < len + sizeof(std::uint64_t)) break;
-        const std::string payload = bytes.substr(rd.pos, len);
+        if (len == 0 || bytes.size() - rd.pos < len + sizeof(std::uint64_t))
+            break;
+        // A view, not a copy: the file image is the only extra copy of a
+        // record's bytes while loading.
+        const std::string_view payload(bytes.data() + rd.pos, len);
         rd.pos += len;
         std::uint64_t check = 0;
         if (!rd.get(check)) break;
-        if (check != fnv1a(payload)) break;
-        FaultSimResult r;
-        if (!decode(payload, r)) break;
-        out.records.push_back(std::move(r));
+        if (check != fnv1a(payload.data(), payload.size())) break;
+        if (static_cast<std::uint8_t>(payload[0]) == kNominalRecord) {
+            // First nominal record wins; an intact later one is skipped.
+            if (!out.nominal) {
+                NominalRecord n;
+                if (!decode_nominal(payload, n)) break;
+                out.nominal = std::move(n);
+            }
+        } else {
+            FaultSimResult r;
+            if (!decode(payload, r)) break;
+            out.records.push_back(std::move(r));
+        }
         out.good_end = rd.pos;
     }
     return out;
 }
 
+/// Whole-file read in one call (a nominal record makes stores tens of
+/// kilobytes; a per-character stream iterator would dominate the open).
 std::string read_file_bytes(const std::string& path) {
-    std::string bytes;
-    std::ifstream in(path, std::ios::binary);
-    if (in.good()) {
-        bytes.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-    }
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    if (!in.good()) return {};
+    const std::streamoff size = in.tellg();
+    if (size <= 0) return {};
+    std::string bytes(static_cast<std::size_t>(size), '\0');
+    in.seekg(0);
+    in.read(bytes.data(), static_cast<std::streamsize>(size));
+    bytes.resize(static_cast<std::size_t>(in.gcount()));
     return bytes;
 }
 
@@ -213,13 +322,24 @@ std::string store_header(std::uint64_t manifest) {
     return hdr;
 }
 
-std::string encode_record(const FaultSimResult& r) {
-    const std::string payload = encode(r);
+namespace {
+
+std::string frame(const std::string& payload) {
     std::string rec;
+    rec.reserve(payload.size() + sizeof(std::uint32_t) +
+                sizeof(std::uint64_t));
     put(rec, static_cast<std::uint32_t>(payload.size()));
     rec.append(payload);
     put(rec, fnv1a(payload));
     return rec;
+}
+
+} // namespace
+
+std::string encode_record(const FaultSimResult& r) { return frame(encode(r)); }
+
+std::string encode_nominal_record(const NominalRecord& n) {
+    return frame(encode_nominal(n));
 }
 
 void sync_parent_directory(const std::string& path) {
@@ -246,6 +366,7 @@ ResultStore::ResultStore(std::string path, std::uint64_t manifest,
 
     if (scan.header_ok && scan.manifest == manifest_) {
         loaded_ = std::move(scan.records);
+        loaded_nominal_ = std::move(scan.nominal);
         // Trim any partial tail, then continue appending after it.
         if (scan.good_end < bytes.size())
             std::filesystem::resize_file(path_, scan.good_end);
@@ -291,6 +412,33 @@ void ResultStore::sync_to_disk() {
 #endif
 }
 
+std::optional<NominalRecord> ResultStore::take_nominal() {
+    std::optional<NominalRecord> n = std::move(loaded_nominal_);
+    loaded_nominal_.reset();
+    return n;
+}
+
+void ResultStore::write_locked(const std::string& rec) {
+    out_.write(rec.data(), static_cast<std::streamsize>(rec.size()));
+    out_.flush();
+    require(out_.good(), "result store: append failed: " + path_);
+    sync_to_disk();
+}
+
+void ResultStore::append_nominal(const NominalRecord& n) {
+    obs::Span sp(obs::Phase::StoreAppend);
+    const std::string rec = encode_nominal_record(n);
+    {
+        MutexLock lk(mu_);
+        write_locked(rec);
+    }
+    if (obs::metrics_enabled()) {
+        obs::Registry& reg = obs::Registry::global();
+        reg.counter("store.appends").add(1);
+        reg.counter("store.bytes").add(rec.size());
+    }
+}
+
 void ResultStore::append(const FaultSimResult& r) {
     obs::Span sp(obs::Phase::StoreAppend);
     const std::string rec = encode_record(r);
@@ -314,10 +462,7 @@ void ResultStore::append(const FaultSimResult& r) {
                             path_);
             }
         }
-        out_.write(rec.data(), static_cast<std::streamsize>(rec.size()));
-        out_.flush();
-        require(out_.good(), "result store: append failed: " + path_);
-        sync_to_disk();
+        write_locked(rec);
     }
     if (obs::metrics_enabled()) {
         obs::Registry& reg = obs::Registry::global();
@@ -339,6 +484,7 @@ std::optional<StoreSnapshot> load_store(const std::string& path) {
     StoreSnapshot snap;
     snap.manifest = scan.manifest;
     snap.records = std::move(scan.records);
+    snap.nominal = std::move(scan.nominal);
     return snap;
 }
 
@@ -358,6 +504,7 @@ RepairReport repair_store(const std::string& path) {
     }
     rep.manifest = scan.manifest;
     rep.records_kept = scan.records.size();
+    rep.nominal_kept = scan.nominal.has_value();
     rep.bytes_kept = scan.good_end;
     if (scan.good_end < bytes.size())
         std::filesystem::resize_file(path, scan.good_end);

@@ -13,11 +13,19 @@
 // length and an FNV-1a checksum, and loading stops at the first short or
 // corrupt record, trimming the file back to the last good byte.  Killing
 // a campaign mid-write therefore costs at most one fault's result.
+//
+// Besides the per-fault records, a transient campaign's store holds one
+// nominal record (written first): the fault-free reference waveforms and
+// the nominal kernel's elimination order.  The manifest already proves
+// circuit, grid and solver knobs unchanged, so a resumed or incremental
+// campaign reads its reference from here instead of re-simulating it.
 
 #pragma once
 
 #include "core/thread_annotations.h"
 #include "geom/base.h"
+#include "spice/symbolic_cache.h"
+#include "spice/waveform.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -79,6 +87,19 @@ struct FaultSimResult {
     std::string retry_log;
 };
 
+/// The fault-free reference of a transient campaign, as the store persists
+/// it: every trace of the nominal transient (time axis included, raw
+/// double bits) and the nominal kernel's elimination order -- absent when
+/// the nominal kernel is dense, exactly when Simulator::symbolic_cache()
+/// returns null.
+struct NominalRecord {
+    spice::Waveforms waveforms;
+    std::optional<spice::SymbolicCache> symbolic;
+    /// Provenance: copied from a baseline store by the incremental engine
+    /// rather than simulated by a run of this store's campaign.
+    bool carried = false;
+};
+
 inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 
 /// FNV-1a 64-bit rolling hash (pass the previous result as `h` to chain).
@@ -118,11 +139,24 @@ public:
     /// Records recovered from disk at open (file order).
     const std::vector<FaultSimResult>& loaded() const { return loaded_; }
 
+    /// Whether the file held an intact nominal record at open.
+    bool has_nominal() const { return loaded_nominal_.has_value(); }
+
+    /// Move the nominal record recovered at open out of the store (empty
+    /// when there was none, or on a second call).  Not thread-safe: call
+    /// before the store is shared with append workers.
+    std::optional<NominalRecord> take_nominal();
+
     /// Append one result and flush (and, under Durability::Fsync, sync)
     /// it to disk.  Failpoint site `store.append` (torn / torn_crash /
     /// generic actions) injects the I/O failures the containment tests
     /// exercise.
     void append(const FaultSimResult& r);
+
+    /// Append the campaign's nominal record and flush it like append().
+    /// Not a `store.append` failpoint hit: that site's hit count numbers
+    /// fault records, which the containment tests and smokes rely on.
+    void append_nominal(const NominalRecord& n);
 
     const std::string& path() const { return path_; }
     std::uint64_t manifest() const { return manifest_; }
@@ -138,8 +172,12 @@ private:
     std::uint64_t manifest_ = 0;
     Durability durability_ = Durability::Flush;
     std::vector<FaultSimResult> loaded_;
+    std::optional<NominalRecord> loaded_nominal_;
     Mutex mu_;
     std::ofstream out_ CATLIFT_GUARDED_BY(mu_);
+
+    /// Write one encoded record under the lock and push it to disk.
+    void write_locked(const std::string& rec) CATLIFT_REQUIRES(mu_);
 };
 
 /// Read-only view of a store file: the manifest it was written under plus
@@ -150,6 +188,7 @@ private:
 struct StoreSnapshot {
     std::uint64_t manifest = 0;
     std::vector<FaultSimResult> records;
+    std::optional<NominalRecord> nominal;  ///< first intact nominal record
 };
 
 /// Load a snapshot of the store at `path`.  Returns std::nullopt when the
@@ -167,6 +206,9 @@ std::string store_header(std::uint64_t manifest);
 /// injection aimed at a worker.
 std::string encode_record(const FaultSimResult& r);
 
+/// The nominal record, framed like encode_record().
+std::string encode_nominal_record(const NominalRecord& n);
+
 /// fsync the directory containing `path`, so a freshly created file's
 /// directory entry itself survives power loss (fsync on the file alone
 /// does not cover the rename/create in its parent).  Best-effort no-op
@@ -177,7 +219,8 @@ void sync_parent_directory(const std::string& path);
 struct RepairReport {
     bool header_ok = false;        ///< magic/version/manifest intact
     std::uint64_t manifest = 0;
-    std::size_t records_kept = 0;  ///< intact records preserved
+    std::size_t records_kept = 0;  ///< intact fault records preserved
+    bool nominal_kept = false;     ///< an intact nominal record survives
     std::size_t bytes_total = 0;   ///< file size before the repair
     std::size_t bytes_kept = 0;    ///< size after trimming to last good byte
 };

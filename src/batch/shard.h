@@ -12,8 +12,9 @@
 // Merge semantics (the properties tests/fabric_test.cpp pins):
 //  * idempotent -- records are deduped by fault id (canonical store
 //    first, then shards in the given order) and written sorted by fault
-//    id, so re-merging the same inputs leaves the canonical store
-//    byte-identical;
+//    id, after exactly one nominal record (the first one seen, in the
+//    same order), so re-merging the same inputs leaves the canonical
+//    store byte-identical;
 //  * torn-tolerant -- a shard whose writer died mid-append contributes
 //    every record before the tear, exactly as a resume would see it;
 //  * strict about identity -- a foreign-manifest shard throws.

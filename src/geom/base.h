@@ -33,6 +33,12 @@ inline void require(bool cond, const std::string& msg) {
     if (!cond) throw Error(msg);
 }
 
+/// Literal-message overload: a passing check constructs no std::string,
+/// so hot-path checks (LU solve, Newton) stay allocation-free.
+inline void require(bool cond, const char* msg) {
+    if (!cond) throw Error(msg);
+}
+
 namespace geom {
 
 /// Exact layout coordinate in nanometres.

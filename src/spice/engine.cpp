@@ -1038,9 +1038,9 @@ Waveforms Simulator::tran(const netlist::TranSpec& spec,
                 opt_.method = user_method;
                 ++cuts;
                 ++stats_.step_cuts;
-                require(cuts <= opt_.max_step_cuts,
-                        "transient failed to converge at t=" +
-                            std::to_string(tc + dt));
+                if (cuts > opt_.max_step_cuts)
+                    throw Error("transient failed to converge at t=" +
+                                std::to_string(tc + dt));
                 dt *= 0.5;
             }
         }

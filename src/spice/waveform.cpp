@@ -22,6 +22,26 @@ void Waveforms::append(double t, const std::vector<double>& values) {
         data_[i].push_back(values[i]);
 }
 
+Waveforms Waveforms::from_columns(std::vector<std::string> names,
+                                  std::vector<double> time,
+                                  std::vector<std::vector<double>> data) {
+    require(names.size() == data.size(),
+            "Waveforms::from_columns: trace count mismatch");
+    Waveforms wf;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        require(data[i].size() == time.size(),
+                "Waveforms::from_columns: column length mismatch");
+        require(wf.index_.emplace(names[i], i).second,
+                "duplicate trace " + names[i]);
+    }
+    require(std::is_sorted(time.begin(), time.end()),
+            "Waveforms::from_columns: time must be monotonic");
+    wf.names_ = std::move(names);
+    wf.time_ = std::move(time);
+    wf.data_ = std::move(data);
+    return wf;
+}
+
 const std::vector<double>& Waveforms::trace(const std::string& name) const {
     auto it = index_.find(name);
     require(it != index_.end(), "no trace named " + name);

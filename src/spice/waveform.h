@@ -24,6 +24,13 @@ public:
     /// Record one sample row; `values` order must match trace registration.
     void append(double t, const std::vector<double>& values);
 
+    /// Rebuild from whole columns (the result store's nominal record):
+    /// `names` in registration order, one `data` column per name, each as
+    /// long as `time`.  The columns are moved in, not copied.
+    static Waveforms from_columns(std::vector<std::string> names,
+                                  std::vector<double> time,
+                                  std::vector<std::vector<double>> data);
+
     const std::vector<double>& time() const { return time_; }
     std::size_t points() const { return time_.size(); }
 

@@ -8,6 +8,7 @@
 #include "batch/collapse.h"
 #include "batch/result_store.h"
 #include "batch/scheduler.h"
+#include "batch/shard.h"
 #include "core/cat.h"
 #include "spice/engine.h"
 
@@ -119,6 +120,29 @@ void expect_same_results(const CampaignResult& a, const CampaignResult& b) {
     EXPECT_EQ(a.detected(), b.detected());
     EXPECT_EQ(a.final_coverage(), b.final_coverage());
     EXPECT_EQ(a.weighted_coverage(), b.weighted_coverage());
+}
+
+std::string bits(const std::vector<double>& v) {
+    return std::string(reinterpret_cast<const char*>(v.data()),
+                       v.size() * sizeof(double));
+}
+
+/// Same trace names and bit-identical time axis and traces.
+void expect_same_waveforms(const spice::Waveforms& a,
+                           const spice::Waveforms& b) {
+    ASSERT_EQ(a.trace_names(), b.trace_names());
+    EXPECT_EQ(bits(a.time()), bits(b.time()));
+    for (const std::string& name : a.trace_names())
+        EXPECT_EQ(bits(a.trace(name)), bits(b.trace(name))) << name;
+}
+
+/// Byte offset where the fault records of a campaign store begin: past
+/// the header and the leading nominal record.
+std::uintmax_t fault_records_offset(const std::string& path) {
+    const auto snap = batch::load_store(path);
+    if (!snap || !snap->nominal) return 0;
+    return batch::store_header(snap->manifest).size() +
+           batch::encode_nominal_record(*snap->nominal).size();
 }
 
 } // namespace
@@ -533,15 +557,24 @@ TEST(Campaign, ResumesAfterTruncatedStore) {
     const auto reference = run_campaign(c, fl, opt);
     EXPECT_EQ(reference.batch.resumed, 0u);
 
-    // Simulate a crash mid-write: drop the tail of the log.
+    // Simulate a crash mid-write: drop the tail of the log (a third of
+    // the fault records behind the leading nominal record).
     const auto full_size = std::filesystem::file_size(path);
-    std::filesystem::resize_file(path, full_size - full_size / 3);
+    const auto faults_start = fault_records_offset(path);
+    ASSERT_GT(faults_start, 0u);
+    std::filesystem::resize_file(path,
+                                 full_size - (full_size - faults_start) / 3);
 
     CampaignOptions resume_opt = opt;
     resume_opt.resume = true;
     const auto resumed = run_campaign(c, fl, resume_opt);
     expect_same_results(reference, resumed);
     EXPECT_GT(resumed.batch.resumed, 0u);
+    // The nominal reference came from the store, bit for bit.
+    EXPECT_FALSE(reference.batch.nominal_reused);
+    EXPECT_TRUE(resumed.batch.nominal_reused);
+    EXPECT_EQ(resumed.nominal_seconds, 0.0);
+    expect_same_waveforms(reference.nominal, resumed.nominal);
     // Finished faults were not re-simulated: fewer kernel runs than
     // equivalence classes.
     EXPECT_LT(resumed.batch.scheduled, resumed.batch.classes);
@@ -580,6 +613,180 @@ TEST(Campaign, FreshRunIgnoresStaleStore) {
     const auto res2 = run_campaign(c, fl, numerics);
     EXPECT_EQ(res2.batch.resumed, 0u);
     std::filesystem::remove(path);
+}
+
+// ---------------------------------------------------------------------------
+// The nominal record: the reference a resumed campaign reads instead of
+// re-simulating.
+
+TEST(ResultStore, NominalRecordRoundTripsBitForBit) {
+    const std::string path = temp_store_path("nominal");
+    std::filesystem::remove(path);
+    batch::NominalRecord n;
+    n.waveforms = spice::Waveforms::from_columns(
+        {"v(out)", "i(V1)"}, {0.0, 1e-9, 2e-9},
+        {{0.0, 0.1, -0.0}, {1e-300, 5e-324, 3.0}});
+    n.symbolic = spice::SymbolicCache{};
+    n.symbolic->rank = {{"out", 1}, {"b:V1", 0}};
+    {
+        batch::ResultStore store(path, 0x77u);
+        EXPECT_FALSE(store.has_nominal());
+        store.append_nominal(n);
+        FaultSimResult r;
+        r.fault_id = 3;
+        store.append(r);
+    }
+    batch::ResultStore store(path, 0x77u);
+    ASSERT_TRUE(store.has_nominal());
+    ASSERT_EQ(store.loaded().size(), 1u);
+    const auto got = store.take_nominal();
+    ASSERT_TRUE(got.has_value());
+    EXPECT_FALSE(store.take_nominal().has_value());
+    expect_same_waveforms(got->waveforms, n.waveforms);
+    ASSERT_TRUE(got->symbolic.has_value());
+    EXPECT_EQ(got->symbolic->rank, n.symbolic->rank);
+    EXPECT_FALSE(got->carried);
+    const batch::RepairReport intact = batch::repair_store(path);
+    EXPECT_TRUE(intact.nominal_kept);
+    EXPECT_EQ(intact.records_kept, 1u);
+    std::filesystem::remove(path);
+}
+
+TEST(Campaign, TornNominalRecordFallsBackToSimulating) {
+    const Circuit c = divider_fixture();
+    const auto fl = divider_faults();
+    const std::string path = temp_store_path("torn_nominal");
+    std::filesystem::remove(path);
+    CampaignOptions opt = divider_options();
+    opt.result_store = path;
+    const auto reference = run_campaign(c, fl, opt);
+
+    // Tear the nominal record itself: the loader stops there, so neither
+    // it nor any fault record behind it survives.
+    const std::uintmax_t faults_start = fault_records_offset(path);
+    ASSERT_GT(faults_start, 0u);
+    std::filesystem::resize_file(path, faults_start - 9);
+    EXPECT_FALSE(batch::repair_store(path).nominal_kept);
+    CampaignOptions resume_opt = opt;
+    resume_opt.resume = true;
+    const auto resumed = run_campaign(c, fl, resume_opt);
+    EXPECT_FALSE(resumed.batch.nominal_reused);
+    EXPECT_GT(resumed.nominal_seconds, 0.0);
+    EXPECT_EQ(resumed.batch.resumed, 0u);
+    expect_same_results(reference, resumed);
+    expect_same_waveforms(reference.nominal, resumed.nominal);
+
+    // The fallback rewrote the record: the next resume reads it.
+    const auto warm = run_campaign(c, fl, resume_opt);
+    EXPECT_TRUE(warm.batch.nominal_reused);
+    EXPECT_EQ(warm.batch.scheduled, 0u);
+    expect_same_waveforms(reference.nominal, warm.nominal);
+    std::filesystem::remove(path);
+}
+
+TEST(Campaign, ResumedSparseCampaignAdoptsTheStoredOrder) {
+    const Circuit c = divider_fixture();
+    const auto fl = divider_faults();
+    const std::string path = temp_store_path("sparse_nominal");
+    std::filesystem::remove(path);
+    CampaignOptions opt = divider_options();
+    opt.sim.sparse_threshold = 1;  // sparse kernel: a shared order exists
+    opt.result_store = path;
+    const auto reference = run_campaign(c, fl, opt);
+    ASSERT_GT(reference.batch.symbolic_cache_hits, 0u);
+    const auto snap = batch::load_store(path);
+    ASSERT_TRUE(snap && snap->nominal && snap->nominal->symbolic);
+
+    // Keep only the nominal record: every fault re-simulates against the
+    // stored reference and adopts the stored elimination order.
+    std::filesystem::resize_file(path, fault_records_offset(path));
+    CampaignOptions resume_opt = opt;
+    resume_opt.resume = true;
+    const auto resumed = run_campaign(c, fl, resume_opt);
+    EXPECT_TRUE(resumed.batch.nominal_reused);
+    EXPECT_EQ(resumed.batch.scheduled, reference.batch.scheduled);
+    EXPECT_EQ(resumed.batch.symbolic_cache_hits,
+              reference.batch.symbolic_cache_hits);
+    expect_same_results(reference, resumed);
+    std::filesystem::remove(path);
+}
+
+TEST(Campaign, ForeignManifestNominalIsNeverUsed) {
+    const Circuit c = divider_fixture();
+    const auto fl = divider_faults();
+    const std::string path = temp_store_path("foreign_nominal");
+    std::filesystem::remove(path);
+    CampaignOptions opt = divider_options();
+    opt.result_store = path;
+    run_campaign(c, fl, opt);
+    ASSERT_TRUE(batch::load_store(path)->nominal.has_value());
+
+    // Different numerics -> different manifest: the stored reference was
+    // computed under other knobs and must be re-simulated, not reused.
+    CampaignOptions numerics = opt;
+    numerics.resume = true;
+    numerics.sim.reltol = 1e-4;
+    const auto res = run_campaign(c, fl, numerics);
+    EXPECT_FALSE(res.batch.nominal_reused);
+    EXPECT_GT(res.nominal_seconds, 0.0);
+    CampaignOptions cold = numerics;
+    cold.result_store.clear();
+    expect_same_waveforms(run_campaign(c, fl, cold).nominal, res.nominal);
+
+    // The same holds at the store level: opening under another manifest
+    // restarts the file, nominal record included.
+    batch::ResultStore other(path, 0x1234u);
+    EXPECT_FALSE(other.has_nominal());
+    std::filesystem::remove(path);
+}
+
+TEST(ShardMerge, KeepsExactlyOneNominalRecordFirst) {
+    const std::string base = temp_store_path("merge_nominal");
+    std::error_code ec;
+    std::filesystem::remove(base, ec);
+    for (const std::string& s : batch::list_shards(base))
+        std::filesystem::remove(s, ec);
+    const std::uint64_t manifest = 0x5150u;
+    auto nominal = [](double v) {
+        batch::NominalRecord n;
+        n.waveforms =
+            spice::Waveforms::from_columns({"v(out)"}, {0.0, 1.0}, {{v, v}});
+        return n;
+    };
+    auto fault = [](int id) {
+        FaultSimResult r;
+        r.fault_id = id;
+        r.simulated = true;
+        return r;
+    };
+    {
+        batch::ResultStore s0(batch::shard_path(base, 0), manifest);
+        s0.append_nominal(nominal(1.0));
+        s0.append(fault(2));
+        batch::ResultStore s1(batch::shard_path(base, 1), manifest);
+        s1.append_nominal(nominal(2.0));  // a later duplicate: dropped
+        s1.append(fault(1));
+    }
+    batch::merge_shards(base, manifest, batch::list_shards(base));
+    // Header, the first shard's nominal record, then faults by id.
+    const std::string want =
+        batch::store_header(manifest) +
+        batch::encode_nominal_record(nominal(1.0)) +
+        batch::encode_record(fault(1)) + batch::encode_record(fault(2));
+    std::string got;
+    {
+        std::ifstream in(base, std::ios::binary);
+        got.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    EXPECT_EQ(got, want);
+    // Re-merging is a byte-identical no-op.
+    const auto again =
+        batch::merge_shards(base, manifest, batch::list_shards(base));
+    EXPECT_FALSE(again.changed);
+    std::filesystem::remove(base, ec);
+    for (const std::string& s : batch::list_shards(base))
+        std::filesystem::remove(s, ec);
 }
 
 // ---------------------------------------------------------------------------

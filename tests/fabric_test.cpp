@@ -5,8 +5,11 @@
 // heartbeat-timeout SIGKILL, poison-fault conviction, per-range
 // abandonment, and the `fabric.heartbeat` / `worker.spawn` failpoints.
 // Supervisor tests drive /bin/sh one-liners as workers; the real
-// campaign-runner integration is crash_resume_smoke's `fabric` mode.
+// campaign-runner integration is crash_resume_smoke's `fabric` mode, and
+// the worker-campaign -> merge -> load_campaign_result path runs here
+// in-process.
 
+#include "anafault/worker.h"
 #include "batch/fabric.h"
 #include "batch/result_store.h"
 #include "batch/shard.h"
@@ -213,6 +216,69 @@ TEST(MergeShards, ExistingCanonicalRecordWins) {
     batch::ResultStore canon(base, manifest);
     ASSERT_EQ(canon.loaded().size(), 1u);
     EXPECT_EQ(canon.loaded()[0].detect_time, 1e-6);
+    remove_with_shards(base);
+}
+
+// ---------------------------------------------------------------------------
+// Worker campaigns -> shard merge -> load_campaign_result, in-process
+
+TEST(WorkerCampaigns, LoadedResultCarriesTheSingleProcessNominal) {
+    using netlist::SourceSpec;
+    netlist::Circuit c;
+    c.title = "divider";
+    c.add_vsource("V1", "in", "0",
+                  SourceSpec::make_pulse(0, 5, 0, 1e-9, 1e-9, 1e-6, 2e-6));
+    c.add_resistor("R1", "in", "out", 1e3);
+    c.add_resistor("R2", "out", "0", 1e3);
+    c.add_capacitor("C1", "out", "0", 1e-10);
+    c.tran = netlist::TranSpec{1e-8, 4e-6, 0.0};
+    lift::FaultList fl;
+    fl.circuit = "divider";
+    const std::pair<const char*, const char*> shorts[] = {
+        {"out", "0"}, {"in", "out"}, {"in", "0"}};
+    for (int id = 1; id <= 3; ++id) {
+        lift::Fault f;
+        f.id = id;
+        f.kind = lift::FaultKind::LocalShort;
+        f.mechanism = "m1_short";
+        f.probability = 1e-3 * id;
+        f.net_a = shorts[id - 1].first;
+        f.net_b = shorts[id - 1].second;
+        fl.faults.push_back(f);
+    }
+    anafault::CampaignOptions opt;
+    opt.detection.observed = {"out"};
+    const anafault::CampaignResult single = anafault::run_campaign(c, fl, opt);
+
+    const std::string base = temp_path("workers");
+    remove_with_shards(base);
+    for (std::size_t k = 0; k < 2; ++k) {
+        anafault::WorkerOptions w;
+        w.id_lo = k == 0 ? 1 : 2;
+        w.id_hi = k == 0 ? 1 : 3;
+        w.shard = batch::shard_path(base, k);
+        anafault::run_worker_campaign(c, fl, opt, w);
+    }
+    const std::uint64_t manifest = anafault::campaign_manifest(c, fl, opt);
+    batch::merge_shards(base, manifest, batch::list_shards(base));
+    const anafault::CampaignResult loaded =
+        anafault::load_campaign_result(c, fl, opt, base);
+
+    EXPECT_TRUE(loaded.batch.nominal_reused);
+    ASSERT_EQ(loaded.nominal.trace_names(), single.nominal.trace_names());
+    auto bits = [](const std::vector<double>& v) {
+        return std::string(reinterpret_cast<const char*>(v.data()),
+                           v.size() * sizeof(double));
+    };
+    EXPECT_EQ(bits(loaded.nominal.time()), bits(single.nominal.time()));
+    for (const std::string& name : single.nominal.trace_names())
+        EXPECT_EQ(bits(loaded.nominal.trace(name)),
+                  bits(single.nominal.trace(name)))
+            << name;
+    ASSERT_EQ(loaded.results.size(), single.results.size());
+    for (std::size_t i = 0; i < single.results.size(); ++i)
+        EXPECT_EQ(loaded.results[i].detect_time,
+                  single.results[i].detect_time);
     remove_with_shards(base);
 }
 

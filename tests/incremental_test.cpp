@@ -8,11 +8,13 @@
 #include "core/cat.h"
 #include "layout/revise.h"
 #include "lift/extract_faults.h"
+#include "obs/obs.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <map>
+#include <memory>
 
 using namespace catlift;
 using namespace catlift::anafault;
@@ -113,6 +115,20 @@ void expect_same_verdicts(const CampaignResult& a, const CampaignResult& b) {
             EXPECT_EQ(*a.results[i].detect_time, *b.results[i].detect_time);
         }
     }
+}
+
+std::string bits(const std::vector<double>& v) {
+    return std::string(reinterpret_cast<const char*>(v.data()),
+                       v.size() * sizeof(double));
+}
+
+/// Same trace names and bit-identical time axis and traces.
+void expect_same_waveforms(const spice::Waveforms& a,
+                           const spice::Waveforms& b) {
+    ASSERT_EQ(a.trace_names(), b.trace_names());
+    EXPECT_EQ(bits(a.time()), bits(b.time()));
+    for (const std::string& name : a.trace_names())
+        EXPECT_EQ(bits(a.trace(name)), bits(b.trace(name))) << name;
 }
 
 } // namespace
@@ -296,6 +312,50 @@ TEST(Incremental, CarriesUnchangedAndResimulatesRemainder) {
     std::filesystem::remove(bpath);
 }
 
+TEST(Incremental, MergedStoreReusesBaselineNominalBitForBit) {
+    const Circuit c = divider_fixture();
+    const auto base = divider_baseline();
+    const auto rev = divider_revision();
+    const std::string bpath = temp_path("div_nom_base");
+    const std::string mpath = temp_path("div_nom_merged");
+    std::filesystem::remove(bpath);
+    std::filesystem::remove(mpath);
+    CampaignOptions copt = divider_options();
+    copt.result_store = bpath;
+    run_campaign(c, base, copt);
+
+    IncrementalOptions iopt;
+    iopt.campaign = divider_options();
+    iopt.campaign.result_store = mpath;
+    iopt.baseline_store = bpath;
+    auto cap = std::make_shared<obs::CaptureSink>();
+    obs::attach_event_sink(cap);
+    const auto inc = run_incremental_campaign(c, base, rev, iopt);
+    obs::detach_event_sinks();
+    std::vector<std::string> sources;
+    for (const auto& ev : cap->take())
+        if (ev.name == "nominal_reused") sources.push_back(ev.fields[0].s);
+    EXPECT_EQ(sources, std::vector<std::string>{"baseline"});
+
+    // No nominal simulation, yet the same reference and the same verdicts
+    // as a cold full campaign on the revision, bit for bit.
+    EXPECT_TRUE(inc.campaign.batch.nominal_reused);
+    EXPECT_EQ(inc.campaign.nominal_seconds, 0.0);
+    const auto cold = run_campaign(c, rev, divider_options());
+    EXPECT_FALSE(cold.batch.nominal_reused);
+    expect_same_verdicts(cold, inc.campaign);
+    expect_same_waveforms(cold.nominal, inc.campaign.nominal);
+
+    // The merged store carries the baseline's record, so it seeds the
+    // next revision the same way.
+    const auto snap = batch::load_store(mpath);
+    ASSERT_TRUE(snap.has_value() && snap->nominal.has_value());
+    EXPECT_TRUE(snap->nominal->carried);
+    expect_same_waveforms(cold.nominal, snap->nominal->waveforms);
+    std::filesystem::remove(bpath);
+    std::filesystem::remove(mpath);
+}
+
 TEST(Incremental, KnobChangeBlocksCarrying) {
     const Circuit c = divider_fixture();
     const auto base = divider_baseline();
@@ -468,6 +528,8 @@ TEST(Incremental, VcoRevisionCarriesHalfAndMatchesColdRun) {
     const auto cold = run_campaign(e.sim_circuit, rev.faults,
                                    e.config.campaign);
     expect_same_verdicts(cold, inc.campaign);
+    EXPECT_TRUE(inc.campaign.batch.nominal_reused);
+    expect_same_waveforms(cold.nominal, inc.campaign.nominal);
 
     // The on-disk merged store holds every revision fault's verdict,
     // identical to the cold run's, under the revision campaign manifest.

@@ -4,7 +4,24 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
+
+// Count every global operator new in this binary, so a test can prove a
+// code path never touches the heap.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+} // namespace
+
+void* operator new(std::size_t n) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(n ? n : 1)) return p;
+    throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 using catlift::spice::LuSolver;
 using catlift::spice::Matrix;
@@ -89,4 +106,30 @@ TEST(Matrix, ResidualSmallOnRandomSystems) {
             EXPECT_LT(std::fabs(r), 1e-10);
         }
     }
+}
+
+TEST(Matrix, FactorAndSolveAllocateNothingAfterWarmUp) {
+    // The Newton hot path factors and solves once per iteration; after the
+    // first factorization has sized the buffers, neither call may reach
+    // the heap (not even to build the message of a check that passes).
+    const std::size_t n = 8;
+    Matrix a(n);
+    std::vector<double> b(n, 1.0), x;
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j)
+            a(i, j) = 0.1 * static_cast<double>((i * 7 + j * 3) % 5);
+        a(i, i) += 4.0;
+    }
+    LuSolver lu;
+    ASSERT_TRUE(lu.factor(a));
+    lu.solve(b, x);
+    const std::size_t before = g_allocations.load();
+    bool ok = true;
+    for (int rep = 0; rep < 100; ++rep) {
+        ok = lu.factor(a) && ok;
+        lu.solve(b, x);
+    }
+    const std::size_t allocated = g_allocations.load() - before;
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(allocated, 0u);
 }

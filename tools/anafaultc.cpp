@@ -397,10 +397,13 @@ int main(int argc, char** argv) {
                     rc = 1;
                 } else {
                     std::printf("repair %s: manifest %016llx, %zu records "
-                                "kept, %zu of %zu bytes kept (%zu trimmed)\n",
+                                "kept (nominal record %s), %zu of %zu bytes "
+                                "kept (%zu trimmed)\n",
                                 repair_path.c_str(),
                                 static_cast<unsigned long long>(rep.manifest),
-                                rep.records_kept, rep.bytes_kept,
+                                rep.records_kept,
+                                rep.nominal_kept ? "kept" : "absent",
+                                rep.bytes_kept,
                                 rep.bytes_total,
                                 rep.bytes_total - rep.bytes_kept);
                 }
@@ -628,9 +631,15 @@ int main(int argc, char** argv) {
             auto pct = [kernel_s](double s) {
                 return kernel_s > 0.0 ? 100.0 * s / kernel_s : 0.0;
             };
-            std::printf("  kernel time %.4f s (nominal %.4f + faulty "
-                        "%.4f)\n",
-                        kernel_s, res.nominal_seconds, res.total_seconds);
+            if (b.nominal_reused)
+                std::printf("  kernel time %.4f s (nominal: reused from "
+                            "store + faulty %.4f)\n",
+                            kernel_s, res.total_seconds);
+            else
+                std::printf("  kernel time %.4f s (nominal %.4f + faulty "
+                            "%.4f)\n",
+                            kernel_s, res.nominal_seconds,
+                            res.total_seconds);
             std::printf("  ordering time %.4f s (%.1f%% of kernel), "
                         "numeric refactor time %.4f s (%.1f%%)\n",
                         b.ordering_seconds, pct(b.ordering_seconds),

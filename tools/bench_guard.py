@@ -234,6 +234,12 @@ def guard_incremental_campaign(base, fresh, ctol, rtol):
     if not fresh.get("verdicts_identical", False):
         print("  [FAIL] incremental_campaign.verdicts_identical is false")
         FAILURES.append("incremental_campaign.verdicts_identical")
+    # The baseline store's manifest proves the circuit, grid and knobs
+    # unchanged, so the incremental run must read its nominal reference
+    # from the store instead of simulating it again.
+    if not fresh.get("nominal_reused", False):
+        print("  [FAIL] incremental_campaign.nominal_reused is false")
+        FAILURES.append("incremental_campaign.nominal_reused")
     # The headline claim: warm incremental run vs cold full re-run.
     check_ratio("incremental_campaign.speedup_vs_cold",
                 base["speedup_vs_cold"], fresh["speedup_vs_cold"], rtol)

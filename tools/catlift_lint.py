@@ -14,8 +14,10 @@ campaigns with:
       the same campaign.
 
   CL002 store-format-version
-      The serialized record surface (FaultSimResult fields plus the
-      encode()/decode() bodies in result_store.cpp) is fingerprinted into
+      The serialized record surface (FaultSimResult and NominalRecord
+      fields, the record-kind constants, and the encode()/decode() and
+      encode_nominal()/decode_nominal() bodies in result_store.cpp) is
+      fingerprinted into
       tools/store_format.lock together with the declared kVersion.  Any
       change to the serialization without a version bump -- which would
       make old stores decode into garbage instead of being rejected as
@@ -281,20 +283,26 @@ def field_line(htext, struct_line, chunk):
     return htext[:pos].count("\n") + 1 if pos >= 0 else struct_line
 
 
+STORE_STRUCTS = ["FaultSimResult", "NominalRecord"]
+STORE_CODECS = ["encode", "decode", "encode_nominal", "decode_nominal"]
+RECORD_KIND = re.compile(r"constexpr\s+[\w:]+\s+k\w+Record\s*=\s*[^;]+;")
+
+
 def store_fingerprint(root):
     """(declared version, fingerprint) of the record serialization
-    surface: FaultSimResult's fields + encode()/decode() bodies,
-    comment-stripped and whitespace-normalized so reformatting and
-    comment edits never trigger CL002."""
+    surface: the fields of every persisted struct, the record-kind
+    constants and every encoder/decoder body, comment-stripped and
+    whitespace-normalized so reformatting and comment edits never trigger
+    CL002."""
     htext = (root / STORE_HEADER).read_text()
     itext = (root / STORE_IMPL).read_text()
-    struct, _ = find_struct_body(htext, "FaultSimResult")
-    enc = find_function_body(itext, "encode")
-    dec = find_function_body(itext, "decode")
+    parts = [find_struct_body(htext, name)[0] for name in STORE_STRUCTS]
+    parts += RECORD_KIND.findall(strip_comments(itext))
+    parts += [find_function_body(itext, name) for name in STORE_CODECS]
     m = re.search(r"kVersion\s*=\s*(\d+)", itext)
     version = int(m.group(1)) if m else -1
     surface = ""
-    for part in (struct, enc, dec):
+    for part in parts:
         if part is None:
             continue
         surface += re.sub(r"\s+", " ", strip_comments(part)) + "\n"
@@ -322,7 +330,7 @@ def rule_store_format(root):
         return [Finding(
             "CL002", STORE_IMPL, 1,
             "record serialization changed without a kVersion bump "
-            "(FaultSimResult / encode / decode differ from the locked "
+            "(record structs / kinds / codecs differ from the locked "
             f"fingerprint for v{version}); bump kVersion and run "
             "catlift_lint.py --update-store-lock")]
     return []
@@ -481,6 +489,13 @@ def _seed_unbumped_store_change(fx):
            "put(p, r.probability);\n    put(p, r.sim_seconds);")
 
 
+def _seed_unbumped_nominal_change(fx):
+    mutate(fx / "src/batch/result_store.cpp",
+           "put(p, static_cast<std::uint8_t>(n.carried ? 1 : 0));",
+           "put(p, static_cast<std::uint8_t>(n.carried ? 1 : 0));\n"
+           "    put(p, static_cast<std::uint64_t>(wf.points()));")
+
+
 def _seed_version_bump_without_lock(fx):
     text = (fx / "src/batch/result_store.cpp").read_text()
     m = re.search(r"kVersion = (\d+)", text)
@@ -528,6 +543,8 @@ SCENARIOS = [
     ("CL001", "manifest-exempt without reason", _seed_exempt_without_reason),
     ("CL002", "store record change without version bump",
      _seed_unbumped_store_change),
+    ("CL002", "nominal record change without version bump",
+     _seed_unbumped_nominal_change),
     ("CL002", "version bump without lock regen",
      _seed_version_bump_without_lock),
     ("CL003", "rand() in spice kernel", _seed_rand_in_kernel),

@@ -10,7 +10,10 @@
 //                                             the Nth append tears mid-record
 //                                             and the process _Exit(137)s
 //   crash_resume_smoke resume    <store>      reopen the torn store, resume,
-//                                             print verdict digest
+//                                             print verdict digest; fails
+//                                             unless the nominal reference
+//                                             came from the store instead
+//                                             of a fresh simulation
 //
 // The kill-worker fabric smoke runs the same campaign through the
 // multi-process supervisor (batch/fabric.h) with two injected disasters
@@ -279,6 +282,15 @@ int main(int argc, char** argv) {
             return 1;
         }
 
+        // The nominal record precedes every fault record, so a crash at a
+        // fault append leaves it intact: the resume must not re-simulate.
+        if (mode == "resume" && !res.batch.nominal_reused) {
+            std::fprintf(stderr,
+                         "crash_resume_smoke: the resumed campaign "
+                         "re-simulated the nominal reference\n");
+            return 1;
+        }
+
         std::vector<std::string> lines;
         lines.reserve(res.results.size());
         for (const anafault::FaultSimResult& r : res.results)
@@ -287,9 +299,10 @@ int main(int argc, char** argv) {
         for (const std::string& l : lines) std::fputs(l.c_str(), stdout);
         std::fprintf(stderr,
                      "crash_resume_smoke %s: %zu faults, %zu resumed, "
-                     "%zu simulated\n",
+                     "%zu simulated, nominal %s\n",
                      mode.c_str(), res.results.size(), res.batch.resumed,
-                     res.batch.scheduled);
+                     res.batch.scheduled,
+                     res.batch.nominal_reused ? "reused" : "simulated");
         return 0;
     } catch (const std::exception& ex) {
         std::fprintf(stderr, "crash_resume_smoke: %s\n", ex.what());
