@@ -19,11 +19,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 using namespace catlift;
 using namespace catlift::circuits;
@@ -554,4 +557,113 @@ TEST(Symbolic, AcAndDcRecordRoundTrips) {
     // Undetected stays undetected through the round trip.
     d.detected = false;
     EXPECT_FALSE(anafault::dc_from_record(anafault::dc_to_record(d)).detected);
+}
+
+// ---------------------------------------------------------------------------
+// Verdict pin: the AC campaign and the DC screen on the OTA's LIFT fault
+// list, reduced to a sorted digest of (fault id, verdict, hex-float detect
+// coordinate, hex-float metric, attempts).  The literals were produced by
+// the per-analysis runners this campaign core replaced; any drift in a
+// verdict, a detection coordinate or a metric bit shows up here.
+
+namespace {
+
+netlist::Circuit ota_small_signal() {
+    netlist::Circuit ckt = build_ota();
+    ckt.device("VDD").source = netlist::SourceSpec::make_dc(5.0);
+    netlist::SourceSpec vin = netlist::SourceSpec::make_dc(2.5);
+    vin.ac_mag = 1.0;
+    ckt.device("VIN").source = vin;
+    return ckt;
+}
+
+std::string digest_entry(int id, const char* verdict,
+                         std::optional<double> coord, double metric,
+                         std::uint32_t attempts) {
+    char buf[160];
+    std::snprintf(buf, sizeof buf, "%d %s %a %a %u", id, verdict,
+                  coord.value_or(-1.0), metric, attempts);
+    return buf;
+}
+
+template <typename Result, typename Entry>
+std::vector<std::string> sorted_digest(const Result& res, Entry entry) {
+    std::vector<std::string> out;
+    for (const auto& r : res.results) out.push_back(entry(r));
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+} // namespace
+
+TEST(VerdictPin, OtaAcCampaignAndDcScreenDigest) {
+    const OtaCampaignFixture f = ota_fixture();
+    const netlist::Circuit ckt = ota_small_signal();
+
+    anafault::AcCampaignOptions aopt;
+    aopt.observed = {kOtaOutput};
+    aopt.sweep.fstart = 1e3;
+    aopt.sweep.fstop = 1e9;
+    const auto ac = anafault::run_ac_campaign(ckt, f.faults, aopt);
+    const auto ac_digest =
+        sorted_digest(ac, [](const anafault::AcFaultResult& r) {
+            const char* v = r.detected    ? "detected"
+                            : r.simulated ? "undetected"
+                            : r.quarantined ? "quarantined"
+                                            : "failed";
+            return digest_entry(r.fault_id, v,
+                                r.detected ? r.detect_freq : std::nullopt,
+                                r.max_deviation_db, r.attempts);
+        });
+
+    anafault::DcScreenOptions dopt;
+    dopt.observed = {kOtaOutput};
+    dopt.v_tol = 0.4;
+    const auto dc = anafault::run_dc_screen(ckt, f.faults, dopt);
+    const auto dc_digest =
+        sorted_digest(dc, [](const anafault::DcFaultResult& r) {
+            const char* v = r.detected    ? "detected"
+                            : r.converged ? "undetected"
+                            : r.quarantined ? "quarantined"
+                                            : "failed";
+            return digest_entry(r.fault_id, v,
+                                r.detected ? std::optional<double>(0.0)
+                                           : std::nullopt,
+                                r.max_deviation, r.attempts);
+        });
+
+    const std::vector<std::string> ac_expected = {
+        "1 detected 0x1.2f031dde3c438p+26 0x1.81fbb991bc2b3p+1 1",
+        "10 detected 0x1.f4p+9 0x1.dee4e79d4ed2p+6 1",
+        "11 detected 0x1.37056f21e0f91p+15 0x1.813cd66b1cc29p+1 1",
+        "12 detected 0x1.f4p+9 0x1.cfb46c4b7b66dp+7 1",
+        "13 detected 0x1.f4p+9 0x1.053fb87968cap+6 1",
+        "14 detected 0x1.ecef7809921f4p+15 0x1.897eddd3fba8p+1 1",
+        "15 detected 0x1.2d940b6044f7dp+28 0x1.a511b97365c18p+1 1",
+        "2 detected 0x1.f4p+9 0x1.f28db82a45f28p+6 1",
+        "3 detected 0x1.f4p+9 0x1.ac25e459df1d2p+5 1",
+        "4 detected 0x1.2fbb4e8715b2ep+25 0x1.9009aebaa2424p+1 1",
+        "5 detected 0x1.7d784p+26 0x1.89dd3f9057fecp+1 1",
+        "6 detected 0x1.7ac3e555cb547p+29 0x1.aca6a3ed8342p+1 1",
+        "7 undetected -0x1p+0 0x1p-47 1",
+        "8 detected 0x1.32a07373bb4b7p+21 0x1.bf6356eed22eap+1 1",
+        "9 detected 0x1.e03def4b7b8fdp+26 0x1.c7fd178e04ebp+1 1"};
+    const std::vector<std::string> dc_expected = {
+        "1 detected 0x0p+0 0x1.71aa4f734fd33p+0 1",
+        "10 detected 0x0p+0 0x1.4112dfef61f14p+1 1",
+        "11 detected 0x0p+0 0x1.b595ea41512a2p-1 1",
+        "12 detected 0x0p+0 0x1.3eecfb7872cbcp+1 1",
+        "13 detected 0x0p+0 0x1.aea3b5e0289d4p-1 1",
+        "14 detected 0x0p+0 0x1.9676fa21c71c4p-1 1",
+        "15 undetected -0x1p+0 0x1.3a06fa158bb5p-2 1",
+        "2 detected 0x0p+0 0x1.f4341cc577ac8p+0 1",
+        "3 detected 0x0p+0 0x1.4c90bdf79a1f4p-1 1",
+        "4 detected 0x0p+0 0x1.97553d57dbeecp+0 1",
+        "5 undetected -0x1p+0 0x1.13ff4dc52e9p-7 1",
+        "6 undetected -0x1p+0 0x1.1dae148e56p-10 1",
+        "7 undetected -0x1p+0 0x1.bcb2b8fp-22 1",
+        "8 undetected -0x1p+0 0x1.e6a63639f9cp-8 1",
+        "9 undetected -0x1p+0 0x1.63d96b8d4138p-5 1"};
+    EXPECT_EQ(ac_digest, ac_expected);
+    EXPECT_EQ(dc_digest, dc_expected);
 }
