@@ -73,11 +73,6 @@ struct AcCampaignOptions {
     /// crashed) run of the *same* campaign.
     // manifest-exempt: replays already-verified same-manifest records.
     bool resume = false;
-    /// Bind the result store to this manifest instead of the campaign's
-    /// own hash (set only by the incremental cross-revision engine).
-    // manifest-exempt: IS the manifest binding; hashing it into the
-    // hash it overrides would be circular.
-    std::optional<std::uint64_t> manifest_override;
 };
 
 struct AcFaultResult {
@@ -91,7 +86,7 @@ struct AcFaultResult {
                                          ///< points (up to the abort, if any)
     std::optional<double> detect_freq;   ///< frequency of first violation
     std::size_t points_saved = 0;        ///< sweep points skipped by abort
-    double sim_seconds = 0.0;            ///< kernel wall time of the sweep
+    double sim_seconds = 0.0;            ///< as FaultSimResult::sim_seconds
     std::size_t nr_iterations = 0;       ///< NR cost of the operating point
     std::size_t symbolic_cache_hits = 0; ///< kernel adopted the shared order
     double ordering_seconds = 0.0;       ///< sparse one-time analysis time

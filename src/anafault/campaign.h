@@ -78,15 +78,6 @@ struct CampaignOptions {
     // manifest-exempt: resume replays *already-verified* records of
     // the same manifest; it cannot change what a fault retires as.
     bool resume = false;
-    /// Bind the result store to this manifest instead of the campaign's
-    /// own hash.  Set only by the incremental cross-revision engine, which
-    /// runs a *subset* campaign against the full revision's store (the
-    /// carried records must survive the subset run and the merged store
-    /// must identify as the full revision campaign).
-    // manifest-exempt: IS the manifest binding (hashing the override
-    // into the hash it overrides would be circular); only the
-    // incremental engine sets it, to a hash it computed itself.
-    std::optional<std::uint64_t> manifest_override;
 
     CampaignOptions() {
         sim.uic = true;       // paper: start at supply activation
@@ -107,6 +98,10 @@ struct CampaignOptions {
 /// Outcome of one fault simulation (defined beside the result store that
 /// persists it).
 using FaultSimResult = batch::FaultSimResult;
+
+/// The verdict of one result, as every event, span and report names it:
+/// "detected", "undetected", "quarantined" or "failed".
+const char* verdict_name(const FaultSimResult& r);
 
 /// Aggregated campaign outcome with the coverage computations behind the
 /// paper's Fig. 5.
@@ -155,8 +150,8 @@ CampaignResult run_campaign(const netlist::Circuit& ckt,
 /// numeric/kernel knob.  A result store is resumable against a campaign
 /// iff the manifests match; the incremental engine likewise only carries
 /// baseline verdicts whose store manifest reproduces this hash for the
-/// baseline fault list.  Threads, store path/resume and manifest_override
-/// itself are deliberately excluded (they do not change verdicts).
+/// baseline fault list.  Threads and store path/durability/resume are
+/// deliberately excluded (they do not change verdicts).
 std::uint64_t campaign_manifest(const netlist::Circuit& ckt,
                                 const lift::FaultList& faults,
                                 const CampaignOptions& opt = {});

@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,11 +74,6 @@ struct DcScreenOptions {
     /// crashed) run of the *same* screen.
     // manifest-exempt: replays already-verified same-manifest records.
     bool resume = false;
-    /// Bind the result store to this manifest instead of the screen's own
-    /// hash (set only by the incremental cross-revision engine).
-    // manifest-exempt: IS the manifest binding; hashing it into the
-    // hash it overrides would be circular.
-    std::optional<std::uint64_t> manifest_override;
 };
 
 struct DcFaultResult {

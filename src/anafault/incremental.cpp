@@ -1,9 +1,9 @@
 #include "anafault/incremental.h"
 
+#include "anafault/campaign_core.h"
 #include "batch/result_store.h"
 #include "obs/obs.h"
 
-#include <filesystem>
 #include <map>
 #include <set>
 #include <sstream>
@@ -121,11 +121,7 @@ CarrySplit split_for_carry(const lift::FaultList& baseline,
             obs::emit_event(
                 "fault_carried",
                 {obs::arg("fault_id", static_cast<std::int64_t>(id)),
-                 obs::arg("verdict",
-                          std::string(r.detect_time    ? "detected"
-                                      : r.simulated   ? "undetected"
-                                      : r.quarantined ? "quarantined"
-                                                      : "failed"))});
+                 obs::arg("verdict", std::string(verdict_name(r)))});
         obs::emit_event(
             "incremental_carry",
             {obs::arg("carried",
@@ -143,79 +139,54 @@ CarrySplit split_for_carry(const lift::FaultList& baseline,
     return out;
 }
 
-/// Seed the merged store with the baseline's nominal record (first) and
-/// the carried records, bound to the revision manifest, so a crash
-/// mid-subset never costs them, the subset campaign picks the nominal up
-/// through its ordinary resume path, and the merged store resumes -- and
+/// The one incremental runner behind every analysis: split the revision
+/// against the baseline store, run the subset through the analysis'
+/// runner with the merged store bound to the *revision* manifest and
+/// seeded with the carry (so carried records survive the subset run, a
+/// crash mid-subset never costs them, and the merged store resumes -- and
 /// serves as the next revision's baseline -- as if a cold full campaign
-/// had written it.
-void seed_merged_store(const std::string& path, std::uint64_t manifest,
-                       bool resume, const CarrySplit& split,
-                       batch::Durability durability) {
-    if (!resume) {
-        std::error_code ec;
-        std::filesystem::remove(path, ec);
-    }
-    batch::ResultStore store(path, manifest, durability);
-    if (split.nominal && !store.has_nominal())
-        store.append_nominal(*split.nominal);
-    const std::map<int, batch::FaultSimResult>& carried = split.carried_by_id;
-    std::set<int> present;
-    for (const batch::FaultSimResult& r : store.loaded())
-        present.insert(r.fault_id);
-    for (const auto& [id, r] : carried)
-        if (!present.count(id)) store.append(r);
-}
-
-} // namespace
-
-IncrementalResult run_incremental_campaign(const Circuit& ckt,
-                                           const lift::FaultList& baseline,
-                                           const lift::FaultList& revision,
-                                           const IncrementalOptions& opt) {
-    IncrementalResult res;
+/// had written it), then merge in revision order.  Kernel-cost aggregates
+/// and batch counters describe the work this run actually performed.
+template <typename Result, typename Options, typename Manifest,
+          typename Run, typename FromRecord>
+Result run_incremental(const char* what, const Circuit& ckt,
+                       const lift::FaultList& baseline,
+                       const lift::FaultList& revision, const Options& opt,
+                       Manifest manifest, Run run, FromRecord from_record) {
+    Result res;
     require(!(opt.campaign.resume && opt.campaign.result_store.empty()),
-            "incremental campaign: resume needs a merged result store path");
+            std::string(what) + ": resume needs a merged result store path");
 
     CarrySplit split =
         split_for_carry(baseline, revision, opt.rel_tol, opt.baseline_store,
-                        campaign_manifest(ckt, baseline, opt.campaign));
+                        manifest(ckt, baseline, opt.campaign));
     res.inc = split.inc;
 
-    CampaignOptions copt = opt.campaign;
-    if (!copt.result_store.empty()) {
-        const std::uint64_t manifest =
-            campaign_manifest(ckt, revision, opt.campaign);
-        seed_merged_store(copt.result_store, manifest, opt.campaign.resume,
-                          split, copt.store_durability);
-        // The subset campaign reopens the merged store under the revision
-        // manifest: its own finished records resume, carried ids (not in
-        // the subset) pass through untouched.
-        copt.resume = true;
-        copt.manifest_override = manifest;
+    StoreBinding binding;
+    if (!opt.campaign.result_store.empty()) {
+        binding.manifest = manifest(ckt, revision, opt.campaign);
+        binding.nominal = std::move(split.nominal);
+        for (const auto& [id, r] : split.carried_by_id)
+            binding.carried.push_back(r);
     }
+    auto sub = run(ckt, split.subset, opt.campaign, std::move(binding));
 
-    CampaignResult sub = run_campaign(ckt, split.subset, copt);
-
-    // Merge in revision order.  Kernel-cost aggregates and batch counters
-    // describe the work this run actually performed; the nominal is the
-    // baseline's record whenever the baseline store was trusted.
-    std::map<int, const FaultSimResult*> sub_by_id;
-    for (const FaultSimResult& r : sub.results)
-        sub_by_id.emplace(r.fault_id, &r);
-    std::vector<FaultSimResult> merged;
+    std::map<int, std::size_t> sub_by_id;
+    for (std::size_t i = 0; i < sub.results.size(); ++i)
+        sub_by_id.emplace(sub.results[i].fault_id, i);
+    decltype(sub.results) merged;
     merged.reserve(revision.size());
     for (const lift::Fault& f : revision.faults) {
         const auto carried_it = split.carried_by_id.find(f.id);
         if (carried_it != split.carried_by_id.end()) {
-            merged.push_back(carried_it->second);
+            merged.push_back(from_record(carried_it->second));
             continue;
         }
         const auto it = sub_by_id.find(f.id);
         require(it != sub_by_id.end(),
-                "incremental campaign: missing result for fault " +
+                std::string(what) + ": missing result for fault " +
                     std::to_string(f.id));
-        merged.push_back(*it->second);
+        merged.push_back(std::move(sub.results[it->second]));
     }
     res.campaign = std::move(sub);
     res.campaign.results = std::move(merged);
@@ -226,99 +197,33 @@ IncrementalResult run_incremental_campaign(const Circuit& ckt,
     return res;
 }
 
+} // namespace
+
+IncrementalResult run_incremental_campaign(const Circuit& ckt,
+                                           const lift::FaultList& baseline,
+                                           const lift::FaultList& revision,
+                                           const IncrementalOptions& opt) {
+    return run_incremental<IncrementalResult>(
+        "incremental campaign", ckt, baseline, revision, opt,
+        campaign_manifest, run_campaign_bound,
+        [](const FaultSimResult& r) { return r; });
+}
+
 IncrementalAcResult run_incremental_ac_campaign(
     const Circuit& ckt, const lift::FaultList& baseline,
     const lift::FaultList& revision, const IncrementalAcOptions& opt) {
-    IncrementalAcResult res;
-    require(!(opt.campaign.resume && opt.campaign.result_store.empty()),
-            "incremental ac campaign: resume needs a merged store path");
-
-    CarrySplit split =
-        split_for_carry(baseline, revision, opt.rel_tol, opt.baseline_store,
-                        ac_campaign_manifest(ckt, baseline, opt.campaign));
-    res.inc = split.inc;
-
-    AcCampaignOptions copt = opt.campaign;
-    if (!copt.result_store.empty()) {
-        const std::uint64_t manifest =
-            ac_campaign_manifest(ckt, revision, opt.campaign);
-        seed_merged_store(copt.result_store, manifest, opt.campaign.resume,
-                          split, copt.store_durability);
-        copt.resume = true;
-        copt.manifest_override = manifest;
-    }
-
-    AcCampaignResult sub = run_ac_campaign(ckt, split.subset, copt);
-
-    std::map<int, const AcFaultResult*> sub_by_id;
-    for (const AcFaultResult& r : sub.results)
-        sub_by_id.emplace(r.fault_id, &r);
-    std::vector<AcFaultResult> merged;
-    merged.reserve(revision.size());
-    for (const lift::Fault& f : revision.faults) {
-        const auto carried_it = split.carried_by_id.find(f.id);
-        if (carried_it != split.carried_by_id.end()) {
-            merged.push_back(ac_from_record(carried_it->second));
-            continue;
-        }
-        const auto it = sub_by_id.find(f.id);
-        require(it != sub_by_id.end(),
-                "incremental ac campaign: missing result for fault " +
-                    std::to_string(f.id));
-        merged.push_back(*it->second);
-    }
-    res.campaign = std::move(sub);
-    res.campaign.results = std::move(merged);
-    res.campaign.batch.carried_from_store += split.inc.carried;
-    return res;
+    return run_incremental<IncrementalAcResult>(
+        "incremental ac campaign", ckt, baseline, revision, opt,
+        ac_campaign_manifest, run_ac_campaign_bound, ac_from_record);
 }
 
 IncrementalDcResult run_incremental_dc_screen(const Circuit& ckt,
                                               const lift::FaultList& baseline,
                                               const lift::FaultList& revision,
                                               const IncrementalDcOptions& opt) {
-    IncrementalDcResult res;
-    require(!(opt.campaign.resume && opt.campaign.result_store.empty()),
-            "incremental dc screen: resume needs a merged store path");
-
-    CarrySplit split =
-        split_for_carry(baseline, revision, opt.rel_tol, opt.baseline_store,
-                        dc_screen_manifest(ckt, baseline, opt.campaign));
-    res.inc = split.inc;
-
-    DcScreenOptions copt = opt.campaign;
-    if (!copt.result_store.empty()) {
-        const std::uint64_t manifest =
-            dc_screen_manifest(ckt, revision, opt.campaign);
-        seed_merged_store(copt.result_store, manifest, opt.campaign.resume,
-                          split, copt.store_durability);
-        copt.resume = true;
-        copt.manifest_override = manifest;
-    }
-
-    DcScreenResult sub = run_dc_screen(ckt, split.subset, copt);
-
-    std::map<int, const DcFaultResult*> sub_by_id;
-    for (const DcFaultResult& r : sub.results)
-        sub_by_id.emplace(r.fault_id, &r);
-    std::vector<DcFaultResult> merged;
-    merged.reserve(revision.size());
-    for (const lift::Fault& f : revision.faults) {
-        const auto carried_it = split.carried_by_id.find(f.id);
-        if (carried_it != split.carried_by_id.end()) {
-            merged.push_back(dc_from_record(carried_it->second));
-            continue;
-        }
-        const auto it = sub_by_id.find(f.id);
-        require(it != sub_by_id.end(),
-                "incremental dc screen: missing result for fault " +
-                    std::to_string(f.id));
-        merged.push_back(*it->second);
-    }
-    res.campaign = std::move(sub);
-    res.campaign.results = std::move(merged);
-    res.campaign.batch.carried_from_store += split.inc.carried;
-    return res;
+    return run_incremental<IncrementalDcResult>(
+        "incremental dc screen", ckt, baseline, revision, opt,
+        dc_screen_manifest, run_dc_screen_bound, dc_from_record);
 }
 
 std::string incremental_summary(const IncrementalStats& inc,

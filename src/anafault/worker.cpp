@@ -1,5 +1,6 @@
 #include "anafault/worker.h"
 
+#include "anafault/campaign_core.h"
 #include "geom/base.h"
 #include "obs/obs.h"
 
@@ -17,7 +18,8 @@ CampaignResult run_worker_campaign(const netlist::Circuit& ckt,
 
     // The shard identifies as the *full* campaign: manifest over the whole
     // fault list, exactly like the incremental engine's subset runs.
-    const std::uint64_t manifest = campaign_manifest(ckt, full, opt);
+    StoreBinding binding;
+    binding.manifest = campaign_manifest(ckt, full, opt);
 
     lift::FaultList sub;
     sub.circuit = full.circuit;
@@ -28,9 +30,7 @@ CampaignResult run_worker_campaign(const netlist::Circuit& ckt,
 
     CampaignOptions wopt = opt;
     wopt.result_store = w.shard;
-    wopt.store_durability = opt.store_durability;
     wopt.resume = true;  // a respawn must skip its predecessor's records
-    wopt.manifest_override = manifest;
 
     std::unique_ptr<batch::HeartbeatEmitter> hb;
     if (w.heartbeat_fd >= 0) {
@@ -38,7 +38,8 @@ CampaignResult run_worker_campaign(const netlist::Circuit& ckt,
             w.heartbeat_fd, w.heartbeat_interval_s);
         obs::attach_event_sink(std::make_shared<batch::HeartbeatSink>(*hb));
     }
-    CampaignResult res = run_campaign(ckt, sub, wopt);
+    CampaignResult res =
+        run_campaign_bound(ckt, sub, wopt, std::move(binding));
     if (hb) {
         // The sink holds a reference into `hb`; it must never outlive it.
         // Worker processes attach no other sinks, so a full detach is the
@@ -53,9 +54,7 @@ CampaignResult load_campaign_result(const netlist::Circuit& ckt,
                                     const lift::FaultList& faults,
                                     const CampaignOptions& opt,
                                     const std::string& store_path) {
-    const std::uint64_t manifest =
-        opt.manifest_override ? *opt.manifest_override
-                              : campaign_manifest(ckt, faults, opt);
+    const std::uint64_t manifest = campaign_manifest(ckt, faults, opt);
     auto snap = batch::load_store(store_path);
     require(snap.has_value(),
             "fabric: merged store unreadable or not a store: " + store_path);

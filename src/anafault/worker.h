@@ -2,10 +2,9 @@
 //
 // Campaign-layer entry points of the multi-process fabric
 // (batch/fabric.h).  A worker process is the ordinary campaign runner
-// pointed at a fault-id *subrange* and a store *shard* bound -- via
-// CampaignOptions::manifest_override -- to the full campaign's manifest,
-// exactly the mechanism the incremental engine already uses to run a
-// subset campaign against a full store.  The supervisor then folds the
+// pointed at a fault-id *subrange* and a store *shard* bound to the full
+// campaign's manifest, exactly the mechanism the incremental engine uses
+// to run a subset campaign against a full store.  The supervisor then folds the
 // shards back together (batch::merge_shards) and reassembles the final
 // CampaignResult straight from the canonical store -- nominal reference
 // included, from the store's nominal record -- so the parent never

@@ -45,7 +45,9 @@ struct FaultSimResult {
     bool simulated = false;            ///< kernel run completed
     std::string error;                 ///< failure reason when !simulated
     std::optional<double> detect_time; ///< earliest detection instant
-    double sim_seconds = 0.0;          ///< kernel wall time
+    /// Wall time of every simulation attempt of this fault, the retry
+    /// ladder's included (injection excluded); 0 on a collapse fan-out.
+    double sim_seconds = 0.0;
     std::size_t nr_iterations = 0;
     std::size_t matrix_size = 0;       ///< MNA unknowns (source model grows it)
     std::size_t steps_saved = 0;       ///< grid steps skipped by early abort

@@ -12,9 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <vector>
 
 using namespace catlift;
 using namespace catlift::anafault;
@@ -478,6 +481,61 @@ TEST(Incremental, CrashedMergedStoreLosesAtMostOneRecord) {
     expect_same_verdicts(inc.campaign, rerun.campaign);
     // At most the torn record's fault was re-simulated.
     EXPECT_LE(rerun.campaign.batch.scheduled, 1u);
+
+    std::filesystem::remove(bpath);
+    std::filesystem::remove(mpath);
+}
+
+TEST(Incremental, ResumedMergedStoreAppendsNoDuplicates) {
+    const Circuit c = divider_fixture();
+    const auto base = divider_baseline();
+    const auto rev = divider_revision();
+    const std::string bpath = temp_path("div_dup_base");
+    const std::string mpath = temp_path("div_dup_merged");
+    std::filesystem::remove(bpath);
+    std::filesystem::remove(mpath);
+
+    CampaignOptions copt = divider_options();
+    copt.result_store = bpath;
+    run_campaign(c, base, copt);
+
+    IncrementalOptions iopt;
+    iopt.campaign = divider_options();
+    iopt.campaign.result_store = mpath;
+    iopt.baseline_store = bpath;
+    const auto inc = run_incremental_campaign(c, base, rev, iopt);
+    const auto full_bytes = std::filesystem::file_size(mpath);
+
+    // Cut the merged store back to its nominal record and the first two
+    // carried records, as a crash early in the seeding would leave it.
+    const auto full = batch::load_store(mpath);
+    ASSERT_TRUE(full.has_value() && full->nominal.has_value());
+    ASSERT_GE(full->records.size(), 2u);
+    ASSERT_TRUE(full->records[0].carried && full->records[1].carried);
+    {
+        std::ofstream out(mpath, std::ios::binary | std::ios::trunc);
+        out << batch::store_header(full->manifest)
+            << batch::encode_nominal_record(*full->nominal)
+            << batch::encode_record(full->records[0])
+            << batch::encode_record(full->records[1]);
+    }
+
+    IncrementalOptions resume = iopt;
+    resume.campaign.resume = true;
+    const auto rerun = run_incremental_campaign(c, base, rev, resume);
+    expect_same_verdicts(inc.campaign, rerun.campaign);
+    EXPECT_TRUE(rerun.campaign.batch.nominal_reused);
+    EXPECT_EQ(rerun.campaign.batch.scheduled, 2u);  // #2 and #7
+
+    // One record per revision fault, the nominal still first and alone.
+    const auto snap = batch::load_store(mpath);
+    ASSERT_TRUE(snap.has_value() && snap->nominal.has_value());
+    std::vector<int> ids;
+    for (const auto& r : snap->records) ids.push_back(r.fault_id);
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(ids, (std::vector<int>{1, 2, 3, 4, 5, 7}));
+    EXPECT_EQ(std::filesystem::file_size(mpath), full_bytes);
+    expect_same_waveforms(full->nominal->waveforms, snap->nominal->waveforms);
 
     std::filesystem::remove(bpath);
     std::filesystem::remove(mpath);

@@ -5,10 +5,13 @@
 // totals, tracing never changes a verdict, and a resumed campaign splits
 // `resumed` from `carried_from_store`.
 
+#include "anafault/ac_campaign.h"
 #include "anafault/campaign.h"
+#include "anafault/dc_campaign.h"
 #include "batch/result_store.h"
 #include "circuits/ota.h"
 #include "core/cat.h"
+#include "layout/cellgen.h"
 #include "lift/extract_faults.h"
 #include "obs/obs.h"
 #include "spice/engine.h"
@@ -18,6 +21,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -261,31 +265,70 @@ TEST(ObsWindows, AnalysisStatsTranAcTranOnOneSimulator) {
 
 namespace {
 
+/// What a traced campaign of any analysis left behind: its fault spans,
+/// its events, and the result counts the registry must agree with.
 struct TracedCampaign {
-    anafault::CampaignResult res;
+    std::size_t results = 0;
+    std::size_t classes = 0;
+    std::size_t scheduled = 0;
     std::vector<obs::TraceEvent> fault_spans;
     std::shared_ptr<obs::CaptureSink> events;
 };
 
-TracedCampaign run_traced_vco(unsigned threads) {
+template <typename Run>
+TracedCampaign run_traced(Run run) {
     TracedCampaign out;
+    obs::enable_metrics(true);
+    obs::enable_tracing(true);
+    out.events = std::make_shared<obs::CaptureSink>();
+    obs::attach_event_sink(out.events);
+    const auto res = run();
+    obs::enable_tracing(false);
+    obs::detach_event_sinks();
+    out.results = res.results.size();
+    out.classes = res.batch.classes;
+    out.scheduled = res.batch.scheduled;
+
+    for (const obs::TraceEvent& ev : obs::trace_snapshot())
+        if (std::string(ev.name) == "fault") out.fault_spans.push_back(ev);
+    return out;
+}
+
+TracedCampaign run_traced_vco(unsigned threads) {
     const core::VcoExperiment e = core::make_vco_experiment();
     const auto lift_res =
         lift::extract_faults(e.layout, e.config.tech, e.config.lift);
     anafault::CampaignOptions opt = e.config.campaign;
     opt.threads = threads;
+    return run_traced([&] {
+        return anafault::run_campaign(e.sim_circuit, lift_res.faults, opt);
+    });
+}
 
-    obs::enable_metrics(true);
-    obs::enable_tracing(true);
-    out.events = std::make_shared<obs::CaptureSink>();
-    obs::attach_event_sink(out.events);
-    out.res = anafault::run_campaign(e.sim_circuit, lift_res.faults, opt);
-    obs::enable_tracing(false);
-    obs::detach_event_sinks();
+/// The OTA's LIFT fault list on its small-signal deck (static supply,
+/// AC-driven input): the AC campaign and DC screen inputs.
+struct OtaInputs {
+    netlist::Circuit ckt;
+    lift::FaultList faults;
+};
 
-    for (const obs::TraceEvent& ev : obs::trace_snapshot())
-        if (std::string(ev.name) == "fault") out.fault_spans.push_back(ev);
-    return out;
+OtaInputs ota_small_signal_inputs() {
+    circuits::OtaOptions o;
+    o.with_sources = false;
+    const layout::Layout lo =
+        layout::generate_cell_layout(circuits::build_ota(o));
+    lift::LiftOptions lopt;
+    lopt.net_blocks = circuits::ota_net_blocks();
+    OtaInputs in;
+    in.faults = lift::extract_faults(
+                    lo, layout::Technology::single_poly_double_metal(), lopt)
+                    .faults;
+    in.ckt = circuits::build_ota();
+    in.ckt.device("VDD").source = netlist::SourceSpec::make_dc(5.0);
+    netlist::SourceSpec vin = netlist::SourceSpec::make_dc(2.5);
+    vin.ac_mag = 1.0;
+    in.ckt.device("VIN").source = vin;
+    return in;
 }
 
 } // namespace
@@ -293,7 +336,7 @@ TracedCampaign run_traced_vco(unsigned threads) {
 TEST(ObsCampaign, EveryScheduledFaultIsOneClosedSpanWithArgs) {
     ObsGuard g;
     const TracedCampaign t = run_traced_vco(2);
-    EXPECT_EQ(t.fault_spans.size(), t.res.batch.scheduled);
+    EXPECT_EQ(t.fault_spans.size(), t.scheduled);
     for (const obs::TraceEvent& ev : t.fault_spans) {
         EXPECT_GT(ev.dur_ns, 0u);
         const obs::TraceArg* verdict = find_arg(ev, "verdict");
@@ -309,39 +352,80 @@ TEST(ObsCampaign, EveryScheduledFaultIsOneClosedSpanWithArgs) {
 
 TEST(ObsCampaign, RegistryTotalsEqualSumOfSpanArgsMultiThread) {
     ObsGuard g;
-    const TracedCampaign t = run_traced_vco(4);
-    ASSERT_GT(t.fault_spans.size(), 0u);
+    const OtaInputs ota = ota_small_signal_inputs();
+    anafault::AcCampaignOptions aopt;
+    aopt.observed = {circuits::kOtaOutput};
+    aopt.sweep.fstart = 1e3;
+    aopt.sweep.fstop = 1e9;
+    aopt.threads = 4;
+    anafault::DcScreenOptions dopt;
+    dopt.observed = {circuits::kOtaOutput};
+    dopt.v_tol = 0.4;
+    dopt.threads = 4;
 
-    // Sum each per-fault arg across all spans and compare with the
-    // registry counter the publisher incremented with the same values:
-    // nothing lost, nothing double-counted, even with 4 workers.
-    const std::map<std::string, std::string> arg_to_counter = {
-        {"nr_iterations", "campaign.nr_iterations"},
-        {"steps_integrated", "campaign.steps_integrated"},
-        {"steps_saved", "campaign.steps_saved"},
-        {"bypass_solves", "campaign.bypass_solves"},
-        {"device_stamp_skips", "campaign.device_stamp_skips"},
-        {"symbolic_cache_hits", "campaign.symbolic_cache_hits"},
+    // One input per analysis; `saved` names the span arg (and campaign.*
+    // counter) carrying the work early abort skipped.
+    struct Input {
+        const char* analysis;
+        const char* saved;
+        std::function<TracedCampaign()> run;
     };
-    obs::Registry& reg = obs::Registry::global();
-    for (const auto& [arg_key, counter_name] : arg_to_counter) {
-        std::uint64_t sum = 0;
-        for (const obs::TraceEvent& ev : t.fault_spans) {
-            const obs::TraceArg* a = find_arg(ev, arg_key.c_str());
-            ASSERT_NE(a, nullptr) << arg_key;
-            sum += static_cast<std::uint64_t>(a->i);
-        }
-        EXPECT_EQ(reg.counter(counter_name).value(), sum) << counter_name;
-    }
-    EXPECT_EQ(reg.counter("campaign.retired").value(),
-              t.fault_spans.size());
-    EXPECT_EQ(reg.counter("scheduler.jobs").value(), t.res.batch.classes);
+    const std::vector<Input> inputs = {
+        {"tran", "steps_saved", [] { return run_traced_vco(4); }},
+        {"ac", "freq_points_saved",
+         [&] {
+             return run_traced([&] {
+                 return anafault::run_ac_campaign(ota.ckt, ota.faults, aopt);
+             });
+         }},
+        {"dc", "steps_saved",
+         [&] {
+             return run_traced([&] {
+                 return anafault::run_dc_screen(ota.ckt, ota.faults, dopt);
+             });
+         }},
+    };
+    for (const Input& in : inputs) {
+        SCOPED_TRACE(in.analysis);
+        ObsGuard::clear();
+        const TracedCampaign t = in.run();
+        ASSERT_GT(t.fault_spans.size(), 0u);
 
-    // The event stream saw every retirement: one fault_retired per fault
-    // in the full (fanned-out) result set, plus start/end markers.
-    EXPECT_EQ(t.events->count_of("fault_retired"), t.res.results.size());
-    EXPECT_EQ(t.events->count_of("campaign_start"), 1u);
-    EXPECT_EQ(t.events->count_of("campaign_end"), 1u);
+        // Sum each per-fault arg across all spans and compare with the
+        // registry counter the publisher incremented with the same
+        // values: nothing lost, nothing double-counted, even with 4
+        // workers.
+        const std::map<std::string, std::string> arg_to_counter = {
+            {"nr_iterations", "campaign.nr_iterations"},
+            {"steps_integrated", "campaign.steps_integrated"},
+            {in.saved, std::string("campaign.") + in.saved},
+            {"bypass_solves", "campaign.bypass_solves"},
+            {"device_stamp_skips", "campaign.device_stamp_skips"},
+            {"symbolic_cache_hits", "campaign.symbolic_cache_hits"},
+        };
+        obs::Registry& reg = obs::Registry::global();
+        for (const auto& [arg_key, counter_name] : arg_to_counter) {
+            std::uint64_t sum = 0;
+            for (const obs::TraceEvent& ev : t.fault_spans) {
+                const obs::TraceArg* a = find_arg(ev, arg_key.c_str());
+                ASSERT_NE(a, nullptr) << arg_key;
+                sum += static_cast<std::uint64_t>(a->i);
+            }
+            EXPECT_EQ(reg.counter(counter_name).value(), sum)
+                << counter_name;
+        }
+        EXPECT_EQ(reg.counter("campaign.retired").value(),
+                  t.fault_spans.size());
+        EXPECT_EQ(reg.counter("scheduler.jobs").value(), t.classes);
+
+        // The event stream saw every retirement: one fault_retired per
+        // fault in the full (fanned-out) result set, one fault_scheduled
+        // per simulated class, plus start/end markers.
+        EXPECT_EQ(t.events->count_of("fault_retired"), t.results);
+        EXPECT_EQ(t.events->count_of("fault_scheduled"), t.scheduled);
+        EXPECT_EQ(t.events->count_of("campaign_start"), 1u);
+        EXPECT_EQ(t.events->count_of("campaign_end"), 1u);
+    }
 }
 
 TEST(ObsCampaign, TracingNeverChangesVerdicts) {

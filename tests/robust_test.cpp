@@ -3,19 +3,25 @@
 // quarantined verdict's persistence and cross-revision carry, torn-write
 // resume, and the offline store repair command.
 
+#include "anafault/ac_campaign.h"
 #include "anafault/campaign.h"
+#include "anafault/dc_campaign.h"
 #include "anafault/incremental.h"
 #include "anafault/retry.h"
 #include "batch/result_store.h"
+#include "obs/obs.h"
 #include "robust/failpoint.h"
 #include "spice/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 using namespace catlift;
 using namespace catlift::anafault;
@@ -309,6 +315,123 @@ TEST_F(Failpoints, InjectedOutOfRangeIsContainedAsFailed) {
     EXPECT_NE(res.results[0].error.find("out_of_range"), std::string::npos);
     EXPECT_EQ(res.failed(), 1u);
     EXPECT_EQ(res.quarantined(), 0u);
+}
+
+namespace {
+
+/// What one quarantining campaign showed of its retry ladder: the
+/// fault_retry attempt numbers and rung labels, the retry log, the
+/// verdict and the registry counters.
+struct LadderTrace {
+    std::vector<std::int64_t> retry_attempts;
+    std::vector<std::string> retry_configs;
+    std::string retry_log;
+    bool quarantined = false;
+    std::uint64_t retries = 0;
+    std::uint64_t quarantined_counter = 0;
+};
+
+/// Run `campaign` twice: once under a never-firing kernel.newton window
+/// with no faults (`nominal_only`) to count the nominal's Newton solves,
+/// then with every later solve failing, capturing events and counters.
+template <typename Run>
+LadderTrace trace_ladder(Run campaign) {
+    robust::disarm_all();
+    robust::arm("kernel.newton=error@1000000000");
+    campaign(/*nominal_only=*/true);
+    const std::uint64_t h = hits_of("kernel.newton");
+    robust::disarm_all();
+    robust::arm("kernel.newton=error@" + std::to_string(h + 1));
+
+    obs::Registry::global().reset();
+    obs::enable_metrics(true);
+    auto events = std::make_shared<obs::CaptureSink>();
+    obs::attach_event_sink(events);
+    LadderTrace t;
+    const FaultSimResult r = campaign(/*nominal_only=*/false);
+    obs::detach_event_sinks();
+    obs::enable_metrics(false);
+    robust::disarm_all();
+
+    for (const auto& ev : events->take()) {
+        if (ev.name != "fault_retry") continue;
+        for (const obs::TraceArg& a : ev.fields) {
+            if (std::string(a.key) == "attempt")
+                t.retry_attempts.push_back(a.i);
+            if (std::string(a.key) == "config")
+                t.retry_configs.push_back(a.s);
+        }
+    }
+    t.retry_log = r.retry_log;
+    t.quarantined = r.quarantined && verdict_name(r) == std::string(
+                                                          "quarantined");
+    t.retries = obs::Registry::global().counter("campaign.retries").value();
+    t.quarantined_counter =
+        obs::Registry::global().counter("campaign.quarantined").value();
+    obs::Registry::global().reset();
+    return t;
+}
+
+} // namespace
+
+TEST_F(Failpoints, RetryLadderIsTheSameForTranAcAndDc) {
+    Circuit c = divider_fixture();
+    c.device("V1").source.ac_mag = 1.0;
+    const lift::FaultList fl = one_fault_list();
+    const lift::FaultList none{/*circuit=*/"divider", /*faults=*/{}};
+    const auto faults = [&](bool nominal_only) -> const lift::FaultList& {
+        return nominal_only ? none : fl;
+    };
+
+    CampaignOptions topt = divider_options();
+    topt.max_retries = 2;
+    const LadderTrace tran = trace_ladder([&](bool nominal_only) {
+        const CampaignResult res = run_campaign(c, faults(nominal_only), topt);
+        return nominal_only ? FaultSimResult{} : res.results.at(0);
+    });
+
+    AcCampaignOptions aopt;
+    aopt.observed = {"out"};
+    aopt.max_retries = 2;
+    const LadderTrace ac = trace_ladder([&](bool nominal_only) {
+        const AcCampaignResult res =
+            run_ac_campaign(c, faults(nominal_only), aopt);
+        return nominal_only ? FaultSimResult{}
+                            : ac_to_record(res.results.at(0));
+    });
+
+    DcScreenOptions dopt;
+    dopt.observed = {"out"};
+    dopt.max_retries = 2;
+    const LadderTrace dc = trace_ladder([&](bool nominal_only) {
+        const DcScreenResult res =
+            run_dc_screen(c, faults(nominal_only), dopt);
+        return nominal_only ? FaultSimResult{}
+                            : dc_to_record(res.results.at(0));
+    });
+
+    // fault_retry numbers the attempt about to run, 1-based.
+    const std::vector<std::int64_t> attempts{2, 3};
+    const std::vector<std::string> configs{"no-bypass", "fixed-grid"};
+    EXPECT_EQ(tran.retry_attempts, attempts);
+    EXPECT_EQ(tran.retry_configs, configs);
+    EXPECT_NE(tran.retry_log.find("attempt 1 [base]: "), std::string::npos)
+        << tran.retry_log;
+    EXPECT_NE(tran.retry_log.find("; attempt 3 [fixed-grid]: "),
+              std::string::npos)
+        << tran.retry_log;
+    EXPECT_TRUE(tran.quarantined);
+    EXPECT_EQ(tran.retries, 2u);
+    EXPECT_EQ(tran.quarantined_counter, 1u);
+
+    for (const LadderTrace* t : {&ac, &dc}) {
+        EXPECT_EQ(t->retry_attempts, tran.retry_attempts);
+        EXPECT_EQ(t->retry_configs, tran.retry_configs);
+        EXPECT_EQ(t->retry_log, tran.retry_log);
+        EXPECT_EQ(t->quarantined, tran.quarantined);
+        EXPECT_EQ(t->retries, tran.retries);
+        EXPECT_EQ(t->quarantined_counter, tran.quarantined_counter);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -562,9 +562,9 @@ TEST(Symbolic, AcAndDcRecordRoundTrips) {
 // ---------------------------------------------------------------------------
 // Verdict pin: the AC campaign and the DC screen on the OTA's LIFT fault
 // list, reduced to a sorted digest of (fault id, verdict, hex-float detect
-// coordinate, hex-float metric, attempts).  The literals were produced by
-// the per-analysis runners this campaign core replaced; any drift in a
-// verdict, a detection coordinate or a metric bit shows up here.
+// coordinate, hex-float metric, attempts).  The literals pin every
+// verdict, detection coordinate and metric bit for bit: any drift in the
+// campaign machinery around the AC and DC kernels shows up here.
 
 namespace {
 

@@ -82,12 +82,9 @@ std::string self_exe(const char* argv0) {
 }
 
 std::string digest_line(const catlift::anafault::FaultSimResult& r) {
-    const char* verdict = r.detect_time    ? "detected"
-                          : r.simulated    ? "undetected"
-                          : r.quarantined  ? "quarantined"
-                                           : "failed";
     char buf[256];
-    std::snprintf(buf, sizeof buf, "%d %s t=%a m=%a\n", r.fault_id, verdict,
+    std::snprintf(buf, sizeof buf, "%d %s t=%a m=%a\n", r.fault_id,
+                  catlift::anafault::verdict_name(r),
                   r.detect_time.value_or(-1.0), r.metric);
     return buf;
 }
