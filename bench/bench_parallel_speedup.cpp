@@ -5,7 +5,8 @@
 // The batch engine adds a probability-ordered work-stealing scheduler,
 // ERASER-style early abort at the first confirmed detection, and a
 // fault-collapsing pre-pass.  This bench measures both across thread
-// counts and emits machine-readable BENCH_parallel_speedup.json so the
+// counts against the `seed-serial` row -- that loop, run on the current
+// kernel -- and emits machine-readable BENCH_parallel_speedup.json so the
 // perf trajectory is recorded run over run.
 
 #include "anafault/worker.h"
@@ -46,17 +47,13 @@ struct Sample {
 
 double run_once(const core::VcoExperiment& e, const lift::FaultList& faults,
                 unsigned threads, bool early_abort, bool collapse,
-                bool adaptive, bool incremental, Sample& out) {
+                bool adaptive, bool bypass, Sample& out) {
     anafault::CampaignOptions opt = e.config.campaign;
     opt.threads = threads;
     opt.early_abort = early_abort;
     opt.collapse = collapse;
     opt.sim.adaptive = adaptive;
-    // incremental=false reproduces the seed kernel's full rebuild +
-    // factorization on every Newton iteration (the PR-3 stamp-split /
-    // zero-allocation baseline).
-    opt.sim.incremental = incremental;
-    opt.sim.bypass = incremental && opt.sim.bypass;
+    opt.sim.bypass = bypass && opt.sim.bypass;
     const auto t0 = std::chrono::steady_clock::now();
     const auto res = anafault::run_campaign(e.sim_circuit, faults, opt);
     out.wall_s = std::chrono::duration<double>(
@@ -69,7 +66,7 @@ double run_once(const core::VcoExperiment& e, const lift::FaultList& faults,
 }
 
 /// Observability overhead on the standard campaign configuration
-/// (threads=4, abort+collapse+adaptive+incremental), plus the recorded
+/// (threads=4, abort+collapse+adaptive+bypass), plus the recorded
 /// trace itself for the CI trace checker.
 struct ObsSample {
     double wall_off_s = 0.0;
@@ -312,11 +309,11 @@ int main(int argc, char** argv) {
         run_once(e, lift_res.faults, 1, false, false, false, true, warmup);
     }
 
-    // Seed-equivalent serial loop: threads=1, no collapsing, fixed-grid
-    // integration, every run integrated to tstop, and the kernel ablated
-    // to the seed's per-iteration full-rebuild work profile
-    // (incremental=false) -- so the batch rows measure the scheduler,
-    // early abort AND the incremental kernel against the true baseline.
+    // Serial baseline loop: threads=1, no collapsing, fixed-grid
+    // integration, every run integrated to tstop and no modified-Newton
+    // bypass -- so the batch rows measure the scheduler, early abort,
+    // collapsing, adaptive stepping and the bypass against one plain
+    // fault-by-fault loop on the same kernel.
     {
         Sample s;
         s.label = "seed-serial";

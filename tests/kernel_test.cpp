@@ -222,8 +222,8 @@ TEST(Kernel, InverterChainTransientEquivalentDenseSparse) {
         EXPECT_LT(worst, 0.05) << node;
     }
     // The sparse kernel must actually have run incrementally: one
-    // Markowitz analysis per (pattern, stepsize regime), everything else
-    // pattern-reused refactors.
+    // ordering + fill analysis per (pattern, stepsize regime), everything
+    // else pattern-reused refactors.
     EXPECT_GT(ss.stats().sparse_refactors, 0u);
     EXPECT_GT(ss.stats().sparse_refactors, ss.stats().sparse_full_factors);
 }

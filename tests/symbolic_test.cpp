@@ -667,3 +667,47 @@ TEST(VerdictPin, OtaAcCampaignAndDcScreenDigest) {
     EXPECT_EQ(ac_digest, ac_expected);
     EXPECT_EQ(dc_digest, dc_expected);
 }
+
+// ---------------------------------------------------------------------------
+// Manifest pins: a result store is resumable (and an incremental run may
+// carry from it) only while the manifest hash it was written under is
+// reproduced bit for bit.  A change to these literals orphans every
+// existing store, so it must come with a store-format decision, never as
+// a side effect of a knob cleanup.
+
+TEST(ManifestPin, DefaultAndNonDefaultHashesAreStable) {
+    const core::VcoExperiment e = core::make_vco_experiment();
+    const auto vco_faults =
+        lift::extract_faults(e.layout, e.config.tech, e.config.lift).faults;
+    const OtaCampaignFixture f = ota_fixture();
+    const netlist::Circuit ota = ota_small_signal();
+
+    anafault::AcCampaignOptions aopt;
+    aopt.observed = {kOtaOutput};
+    anafault::DcScreenOptions dopt;
+    dopt.observed = {kOtaOutput};
+    dopt.v_tol = 0.4;
+
+    // Manifest-hashed knobs across the sim, engine and retry blocks, each
+    // off its default.
+    anafault::CampaignOptions knobs = e.config.campaign;
+    knobs.sim.method = spice::Method::BackwardEuler;
+    knobs.sim.sparse_threshold = kForceSparse;
+    knobs.sim.bypass = false;
+    knobs.sim.adaptive = false;
+    knobs.sim.max_nr_total = 5000;
+    knobs.share_symbolic = false;
+    knobs.collapse = false;
+    knobs.early_abort = false;
+    knobs.max_retries = 1;
+
+    EXPECT_EQ(anafault::campaign_manifest(e.sim_circuit, vco_faults,
+                                          e.config.campaign),
+              0x2f4408d35db68075ull);
+    EXPECT_EQ(anafault::campaign_manifest(e.sim_circuit, vco_faults, knobs),
+              0x51bc0b53f8f032d6ull);
+    EXPECT_EQ(anafault::ac_campaign_manifest(ota, f.faults, aopt),
+              0x4df3779836e41eb3ull);
+    EXPECT_EQ(anafault::dc_screen_manifest(ota, f.faults, dopt),
+              0x52c54e81f20e5982ull);
+}

@@ -51,8 +51,6 @@
 //                        (campaign default 0: replay only bitwise-unchanged
 //                        devices -- margin-safe; raise to skip settled
 //                        devices' model evaluations)
-//     --ordering <o>     sparse first-factorization: amd (default) |
-//                        markowitz
 //     --no-share-symbolic  every faulty kernel runs its own ordering
 //                        instead of adopting the nominal one
 //     --wall-budget <s>  per-fault wall-clock deadline (0 = unlimited)
@@ -122,7 +120,7 @@ namespace {
         "[--no-early-abort] "
         "[--no-collapse] [--no-adaptive] [--lte-tol tol] [--no-sparse] "
         "[--sparse] [--no-bypass] [--bypass-tol tol] "
-        "[--device-bypass-tol tol] [--ordering amd|markowitz] "
+        "[--device-bypass-tol tol] "
         "[--no-share-symbolic] [--wall-budget s] [--nr-budget n] "
         "[--step-budget n] [--max-retries n] "
         "[--store-durability flush|fsync] [--repair-store file] "
@@ -185,7 +183,7 @@ const std::set<std::string>& forwarded_flags() {
         "--observe", "--supply", "--model", "--v-tol", "--t-tol",
         "--threads", "--no-early-abort", "--no-collapse", "--no-adaptive",
         "--lte-tol", "--no-sparse", "--sparse", "--no-bypass",
-        "--bypass-tol", "--device-bypass-tol", "--ordering",
+        "--bypass-tol", "--device-bypass-tol",
         "--no-share-symbolic", "--wall-budget", "--nr-budget",
         "--step-budget", "--max-retries", "--store-durability"};
     return kForward;
@@ -308,15 +306,6 @@ int main(int argc, char** argv) {
                              "non-negative number\n");
                 return 2;
             }
-        }
-        else if (a == "--ordering") {
-            const std::string o = next();
-            if (o == "amd")
-                opt.sim.ordering = spice::SparseOrdering::Amd;
-            else if (o == "markowitz")
-                opt.sim.ordering = spice::SparseOrdering::Markowitz;
-            else
-                usage();
         }
         else if (a == "--no-share-symbolic") opt.share_symbolic = false;
         else if (a == "--wall-budget") {
